@@ -1,12 +1,12 @@
 """Kernel microbenchmark: DES engine events/sec on a Figure-8-shaped load.
 
 Figure 8 is the paper's canonical server experiment — many concurrent
-closed-loop clients contending on a shared CPU — and its shape (request /
-compute / release / idle timeout per step) exercises every kernel fast path
-at once: the timeout pool, the waiter-slot inline resume, and the flattened
-resource grant.  The reported events/sec is the number every figure
-experiment is ultimately bounded by; watch it in BENCH output to track the
-perf trajectory across PRs.
+closed-loop clients contending on a shared CPU — and its shape (one CPU
+slice then an idle timeout per step) exercises every kernel fast path at
+once: the timeout pool, the waiter-slot inline resume, and the CPU's
+hand-over from one slice to the next.  The reported events/sec is the
+number every figure experiment is ultimately bounded by; watch it in BENCH
+output to track the perf trajectory across PRs.
 """
 
 import time
@@ -22,7 +22,7 @@ STEPS = 60
 def _fig8_workload():
     """Run the Figure-8-shaped load and return the simulator for stats."""
     sim = Simulator()
-    cpu = CPU(sim, cores=1)
+    cpu = CPU(sim)
 
     def client(pid):
         for _ in range(STEPS):
@@ -39,7 +39,7 @@ def test_fig8_shaped_event_rate(benchmark):
     """Events/sec with resource contention (the figure-experiment shape)."""
     sim = benchmark(_fig8_workload)
     stats = sim.kernel_stats()
-    # ~3 events per compute slice + 1 idle timeout per step per client
+    # one event per compute slice + 1 idle timeout per step per client
     assert stats.events >= N_CLIENTS * STEPS
     assert stats.steps >= N_CLIENTS * STEPS
     assert stats.events_per_sec > 0

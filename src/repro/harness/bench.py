@@ -62,7 +62,7 @@ _HIGHER_BETTER = ("kernel_events_per_sec", "kernel_steps_per_sec",
 def _fig8_shaped(n_clients: int, steps: int) -> Simulator:
     """The kernel microbench workload (see ``benchmarks/test_sim_speed.py``)."""
     sim = Simulator()
-    cpu = CPU(sim, cores=1)
+    cpu = CPU(sim)
 
     def client(pid):
         for _ in range(steps):

@@ -24,6 +24,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Optional
 
+from ..errors import StorageError
 from ..obs.contract import declare
 from ..obs.trace import active_registry
 from ..smtp.address import Address
@@ -31,6 +32,7 @@ from ..smtp.constants import SessionOutcome
 from ..smtp.fsm import (AcceptedMail, CloseSession, SendReply, ServerSession,
                         TrustEstablished)
 from ..smtp.message import MailIdGenerator, MailMessage
+from ..smtp.replies import STANDARD
 from ..storage.base import MailboxStore
 
 __all__ = ["NetServerConfig", "NetServerStats", "SmtpServer"]
@@ -71,6 +73,7 @@ class NetServerStats:
     unfinished_sessions: int = 0
     rejected_sessions: int = 0
     mails_accepted: int = 0
+    mails_failed: int = 0              # store refused the mail; answered 451
     handoffs: int = 0                  # sessions delegated after trust
     outcomes: dict = field(default_factory=dict)
 
@@ -107,7 +110,6 @@ class SmtpServer:
         self._workers: list[asyncio.Task] = []
         self._queues: list[asyncio.Queue] = []
         self._rr = 0
-        self._delivery_failures = 0
         reg = active_registry()
         if reg is not None:
             self._c_conns = declare(reg, "net.connections")
@@ -277,17 +279,30 @@ class SmtpServer:
 
     # -- action execution --------------------------------------------------------
     async def _perform(self, actions, writer: asyncio.StreamWriter) -> None:
+        # the session emits AcceptedMail followed by its "250 queued" reply;
+        # a mail the store refuses is answered 451 in place of that reply
+        store_failed = False
         for action in actions:
             if isinstance(action, SendReply):
-                writer.write(action.reply.encode())
+                reply = action.reply
+                if store_failed:
+                    reply = STANDARD.storage_failed
+                    store_failed = False
+                writer.write(reply.encode())
             elif isinstance(action, AcceptedMail):
-                await self._deliver(action.message)
+                store_failed = not self._deliver(action.message)
             elif isinstance(action, CloseSession):
                 self.stats.note_outcome(action.outcome)
         await writer.drain()
 
-    async def _deliver(self, message: MailMessage) -> None:
-        self.stats.mails_accepted += 1
+    def _deliver(self, message: MailMessage) -> bool:
+        """Store ``message``; False when the store refuses it."""
         # storage backends are synchronous; mailbox writes are small, and
         # correctness tests rely on read-your-writes ordering
-        self.store.deliver(message)
+        try:
+            self.store.deliver(message)
+        except StorageError:
+            self.stats.mails_failed += 1
+            return False
+        self.stats.mails_accepted += 1
+        return True

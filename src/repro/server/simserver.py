@@ -89,7 +89,7 @@ class MailServerSim:
                                   "storage": config.storage_backend})
         self._conn_ids = itertools.count(1)
 
-        self.cpu = CPU(sim, cores=1,
+        self.cpu = CPU(sim,
                        context_switch_cost=self.costs.context_switch_cost,
                        fork_cost=self.costs.fork_cost)
         self.disk = Disk(sim)

@@ -3,17 +3,27 @@
 The mail-server models in :mod:`repro.server` are built from four kinds of
 resources:
 
-* :class:`Resource` — a counting semaphore with a FIFO wait queue (used for
-  the smtpd process-slot limit, disk arms, DNS sockets, ...).
+* :class:`Resource` — a general counting semaphore with a priority-then-FIFO
+  wait queue; processes ``yield`` a :class:`Request` and ``release`` it.
 * :class:`Store` — a bounded FIFO buffer of items with blocking ``put`` and
   ``get`` (used for the UNIX-domain-socket task queues between the master and
   the smtpd workers; the bound models the 64 KB kernel socket buffer that the
   paper notes "acts as a natural throttle for the master process").
-* :class:`CPU` — a processor-sharing CPU that charges for computation and
-  explicitly accounts **context switches** and **forks**, the two costs the
-  fork-after-trust architecture is designed to avoid.
+* :class:`CPU` — a single-core CPU serving *slices* in priority-then-FIFO
+  order, which charges for computation and explicitly accounts **context
+  switches** and **forks**, the two costs the fork-after-trust architecture
+  is designed to avoid.
 * :class:`Disk` — a FIFO disk that serves operations priced by a pluggable
   filesystem cost model (see :mod:`repro.storage.diskmodel`).
+
+``CPU`` and ``Disk`` are single-server queues that cost one kernel event per
+slice.  A slice that finds the server idle is charged at once and sleeps on
+a pooled timeout until it ends.  A slice that finds it busy parks on a
+fresh event in the wait queue.  When a slice ends, its own process — resumed
+at completion — hands the server to the next queued slice: it charges that
+slice and schedules the slice's event at ``now + cost``.  There is no
+separate grant event, and charging happens at the same simulated instant
+and in the same order as a request/grant/release cycle would.
 
 All blocking calls return events to be ``yield``-ed from a process body.
 """
@@ -24,9 +34,13 @@ import heapq
 from collections import deque
 from typing import Any, Optional
 
-from .core import Event, SimulationError, Simulator
+from .core import Event, Interrupt, SimulationError, Simulator
 
 __all__ = ["Request", "Resource", "Store", "CPU", "Disk"]
+
+_PENDING = Event._PENDING
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class Request(Event):
@@ -39,14 +53,7 @@ class Request(Event):
     __slots__ = ("resource", "cancelled", "priority")
 
     def __init__(self, resource: "Resource", priority: int = 0):
-        # flattened Event.__init__ — requests are created once per simulated
-        # resource acquisition, squarely on the kernel hot path
-        self.sim = resource.sim
-        self.callbacks = []
-        self._value = Event._PENDING
-        self._ok = True
-        self._scheduled = False
-        self._waiter = None
+        super().__init__(resource.sim)
         self.resource = resource
         self.cancelled = False
         self.priority = priority
@@ -104,9 +111,7 @@ class Resource:
     def request(self, priority: int = 0) -> Request:
         """Return an event that fires when a unit is held.
 
-        Lower ``priority`` values are granted first (FIFO within a class) --
-        used to model the OS scheduler favouring short I/O-bound work such
-        as the delivery agents over CPU-hungry smtpd sessions.
+        Lower ``priority`` values are granted first (FIFO within a class).
         """
         req = Request(self, priority)
         self.total_requests += 1
@@ -134,30 +139,11 @@ class Resource:
                 self._grant(req)
 
     def _grant(self, request: Request) -> None:
-        """Hand a unit to ``request`` — inlined succeed + schedule, one grant
-        per simulated resource acquisition."""
+        """Hand a unit to ``request``: it fires at the current time."""
         in_use = self.in_use = self.in_use + 1
         if in_use > self.peak_in_use:
             self.peak_in_use = in_use
-        # request is freshly created or just popped off the wait queue, so
-        # the succeed()/_schedule() already-triggered guards cannot fire
-        request._value = request
-        sim = self.sim
-        request._scheduled = True
-        seq = sim._seq = sim._seq + 1
-        request._entry_seq = seq
-        heap = sim._qheap
-        if heap is not None:
-            heapq.heappush(heap, (sim.now, seq, request))
-        else:
-            sim._queue.push(sim.now, seq, request)
-
-    def _pump(self) -> None:
-        while self._queue and self.in_use < self.capacity:
-            _, _, req = heapq.heappop(self._queue)
-            if req.cancelled:
-                continue
-            self._grant(req)
+        request.succeed(request)
 
 
 class Store:
@@ -253,15 +239,56 @@ class Store:
             self.total_gets += 1
 
 
-class CPU:
-    """A CPU with explicit context-switch and fork accounting.
+class _SingleServer:
+    """Shared state of :class:`CPU` and :class:`Disk`: one server, a wait
+    queue of slices, and the hand-over to the next slice (see the module
+    docstring).  Subclasses define the queue order and the charging."""
 
-    The model is a single server (``cores`` ≥ 1) with FIFO scheduling of
-    *slices*.  Each :meth:`compute` call by a simulated OS process runs as one
-    slice.  When the slice that starts service belongs to a different OS
-    process than the one that ran last on that core, a context-switch penalty
-    is charged and counted.  :meth:`fork` charges the cost of creating an OS
-    process.
+    def __init__(self, sim: Simulator, name: str):
+        self.sim = sim
+        self.name = name
+        self.busy_time = 0.0
+        self._busy = False
+
+    def _hand_over(self) -> None:
+        """Start the next queued slice, or leave the server idle."""
+        raise NotImplementedError
+
+    def _withdraw(self, entry: tuple) -> None:
+        """Take a waiting slice's ``entry`` out of the queue."""
+        raise NotImplementedError
+
+    def _interrupted(self, event: Event, entry: tuple) -> None:
+        """Clean up after the process of a slice was interrupted.
+
+        A slice still in the queue is withdrawn and never charged.  A
+        running slice keeps the server busy until it ends, and then hands
+        over as if its process had resumed.
+        """
+        if event._value is _PENDING:
+            self._withdraw(entry)
+        else:
+            event.add_callback(self._slice_ended)
+
+    def _slice_ended(self, _event: Event) -> None:
+        self._hand_over()
+
+    @property
+    def utilisation(self) -> float:
+        """Fraction of elapsed simulated time the server was busy."""
+        if self.sim.now <= 0:
+            return 0.0
+        return min(1.0, self.busy_time / self.sim.now)
+
+
+class CPU(_SingleServer):
+    """A single-core CPU with explicit context-switch and fork accounting.
+
+    Each :meth:`compute` call by a simulated OS process runs as one *slice*.
+    Waiting slices are served by priority, then in arrival order.  When the
+    slice that starts service belongs to a different OS process than the one
+    that ran last, a context-switch penalty is charged and counted.
+    :meth:`fork` charges the cost of creating an OS process.
 
     This is precisely the accounting the paper's §5.4 evaluation relies on:
     "the efficiency of the hybrid architecture comes from avoiding context
@@ -269,64 +296,73 @@ class CPU:
     reduced by close to a factor of two."
     """
 
-    def __init__(self, sim: Simulator, cores: int = 1,
-                 context_switch_cost: float = 6e-6,
+    def __init__(self, sim: Simulator, context_switch_cost: float = 6e-6,
                  fork_cost: float = 300e-6, name: str = "cpu"):
-        self.sim = sim
-        self.name = name
-        self.cores = cores
+        super().__init__(sim, name)
         self.context_switch_cost = context_switch_cost
         self.fork_cost = fork_cost
-        self._res = Resource(sim, capacity=cores, name=name)
-        # Last OS-process id to run on each granted "core".  With FIFO
-        # granting we track a single last-pid per logical core slot by cycling
-        # a list; one core is the common configuration in the paper's testbed.
-        self._last_pid: list[Optional[int]] = [None] * cores
-        self._next_core = 0
+        # waiting slices as (priority, seq, pid, work, event) -- lower
+        # priority first, FIFO within a priority class
+        self._queue: list = []
+        self._seq = 0
+        self._last_pid: Optional[int] = None
         self.context_switches = 0
         self.forks = 0
-        self.busy_time = 0.0
 
     def compute(self, pid: int, work: float, priority: int = 0):
         """Process-body generator: occupy the CPU for ``work`` seconds.
 
         ``pid`` identifies the simulated OS process; consecutive slices by
-        the same pid on the same core do not pay the context-switch penalty.
-        ``priority`` follows :meth:`Resource.request`: lower is scheduled
-        first, modelling the OS boosting interactive/I/O-bound processes.
+        the same pid do not pay the context-switch penalty.  Lower
+        ``priority`` values are scheduled first, modelling the OS boosting
+        interactive/I/O-bound processes.
         """
-        res = self._res
-        req = res.request(priority)
-        yield req
-        if self.cores == 1:
-            core = 0
+        if self._busy:
+            seq = self._seq = self._seq + 1
+            event = Event(self.sim)
+            entry = (priority, seq, pid, work, event)
+            _heappush(self._queue, entry)
         else:
-            core = self._next_core
-            self._next_core = (core + 1) % self.cores
-        cost = work
-        last = self._last_pid
-        if last[core] != pid:
+            self._busy = True
+            if self._last_pid != pid:
+                work += self.context_switch_cost
+                self.context_switches += 1
+                self._last_pid = pid
+            self.busy_time += work
+            event = self.sim.timeout(work)
+            entry = None
+        try:
+            yield event
+        except Interrupt:
+            self._interrupted(event, entry)
+            raise
+        self._hand_over()
+
+    def _hand_over(self) -> None:
+        queue = self._queue
+        if not queue:
+            self._busy = False
+            return
+        _, _, pid, cost, event = _heappop(queue)
+        if self._last_pid != pid:
             cost += self.context_switch_cost
             self.context_switches += 1
-            last[core] = pid
+            self._last_pid = pid
         self.busy_time += cost
-        yield self.sim.timeout(cost)
-        res.release(req)
+        event._value = None
+        self.sim._schedule(event, cost)
+
+    def _withdraw(self, entry: tuple) -> None:
+        self._queue.remove(entry)
+        heapq.heapify(self._queue)
 
     def fork(self, pid: int):
         """Process-body generator: charge for an OS fork by ``pid``."""
         self.forks += 1
         yield from self.compute(pid, self.fork_cost)
 
-    @property
-    def utilisation(self) -> float:
-        """Fraction of elapsed simulated time the CPU was busy."""
-        if self.sim.now <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / (self.sim.now * self.cores))
 
-
-class Disk:
+class Disk(_SingleServer):
     """A FIFO disk serving operations with explicit service times.
 
     The caller supplies the service time per operation — computed by a
@@ -334,27 +370,45 @@ class Disk:
     """
 
     def __init__(self, sim: Simulator, name: str = "disk"):
-        self.sim = sim
-        self.name = name
-        self._res = Resource(sim, capacity=1, name=name)
+        super().__init__(sim, name)
+        # waiting operations as (service_time, nbytes, event), in arrival order
+        self._queue: deque = deque()
         self.ops = 0
         self.bytes_written = 0
-        self.busy_time = 0.0
 
     def io(self, service_time: float, nbytes: int = 0):
         """Process-body generator: perform one I/O of ``service_time`` secs."""
         if service_time < 0:
             raise ValueError(f"negative disk service time: {service_time!r}")
-        req = self._res.request()
-        yield req
+        if self._busy:
+            event = Event(self.sim)
+            entry = (service_time, nbytes, event)
+            self._queue.append(entry)
+        else:
+            self._busy = True
+            self.ops += 1
+            self.bytes_written += nbytes
+            self.busy_time += service_time
+            event = self.sim.timeout(service_time)
+            entry = None
+        try:
+            yield event
+        except Interrupt:
+            self._interrupted(event, entry)
+            raise
+        self._hand_over()
+
+    def _hand_over(self) -> None:
+        queue = self._queue
+        if not queue:
+            self._busy = False
+            return
+        service_time, nbytes, event = queue.popleft()
         self.ops += 1
         self.bytes_written += nbytes
         self.busy_time += service_time
-        yield self.sim.timeout(service_time)
-        self._res.release(req)
+        event._value = None
+        self.sim._schedule(event, service_time)
 
-    @property
-    def utilisation(self) -> float:
-        if self.sim.now <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / self.sim.now)
+    def _withdraw(self, entry: tuple) -> None:
+        self._queue.remove(entry)

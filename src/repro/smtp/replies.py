@@ -91,6 +91,8 @@ class _Catalogue:
     def queued(self, mail_id: str) -> Reply:
         return Reply(ReplyCode.OK, f"2.0.0 Ok: queued as {mail_id}")
 
+    storage_failed = Reply(ReplyCode.LOCAL_ERROR,
+                           "4.3.0 Error: queue file write error")
     bye = Reply(ReplyCode.CLOSING, "2.0.0 Bye")
     user_unknown = Reply(ReplyCode.MAILBOX_UNAVAILABLE,
                          "5.1.1 User unknown in local recipient table")

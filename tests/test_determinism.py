@@ -14,7 +14,7 @@ from repro.sim.resources import CPU, Resource, Store
 def _scenario(sim):
     """A workload touching timeouts, resources, stores and interrupts."""
     log = []
-    cpu = CPU(sim, cores=1)
+    cpu = CPU(sim)
     store = Store(sim, capacity=4)
     lock = Resource(sim, capacity=2)
 

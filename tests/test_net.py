@@ -112,6 +112,30 @@ class TestForkAfterTrustSpecifics:
             store.close()
         run(scenario())
 
+    def test_store_failure_answers_451_and_keeps_worker(self, tmp_path):
+        """MfsStore refuses a mail that names a mailbox twice: that mail
+        gets 451, and the only worker goes on to serve the next session."""
+        async def scenario():
+            store = MfsStore(tmp_path)
+            server = make_server(store, "fork-after-trust", worker_pool_size=1)
+
+            def send(recipients, body):
+                client = SmtpClient("127.0.0.1", server.port, [OutgoingMail(
+                    "s@x.com", recipients, body)])
+                return asyncio.wait_for(client.run(), timeout=10)
+
+            async with server:
+                twice = await send(["alice@dest.example"] * 2, b"dup\r\n")
+                after = await send(["alice@dest.example"], b"ok\r\n")
+            assert not twice[0].delivered
+            assert twice[0].reply.startswith("451 4.3.0")
+            assert after[0].delivered and after[0].reply.startswith("250 ")
+            assert server.stats.mails_failed == 1
+            assert server.stats.mails_accepted == 1
+            assert len(store.list_mailbox("alice@dest.example")) == 1
+            store.close()
+        run(scenario())
+
     def test_blacklisted_client_rejected_at_connect(self, tmp_path):
         async def scenario():
             store = MfsStore(tmp_path)

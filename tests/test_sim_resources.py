@@ -1,8 +1,11 @@
 """Unit tests for resources: Resource, Store, CPU, Disk."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import CPU, Disk, Resource, SimulationError, Simulator, Store
+from repro.sim import (CPU, Disk, Interrupt, Resource, SimulationError,
+                       Simulator, Store)
 
 
 class TestResource:
@@ -266,3 +269,195 @@ class TestDisk:
         sim.process(bad())
         with pytest.raises(SimulationError):
             sim.run()
+
+
+class TestSliceOrder:
+    def test_priority_overtakes_and_fifo_within_class(self, sim):
+        cpu = CPU(sim, context_switch_cost=0.0)
+        order = []
+
+        def user(name, start, priority):
+            yield sim.timeout(start)
+            yield from cpu.compute(name, 1.0, priority)
+            order.append((sim.now, name))
+
+        sim.process(user("holder", 0.0, 0))
+        for i, name in enumerate(("n1", "n2", "n3")):
+            sim.process(user(name, 0.1 * (i + 1), 0))
+        sim.process(user("urgent", 0.5, -1))  # queued last, served first
+        sim.run()
+        assert order == [(1.0, "holder"), (2.0, "urgent"), (3.0, "n1"),
+                         (4.0, "n2"), (5.0, "n3")]
+
+    def test_one_event_per_slice(self):
+        """The Fig. 8 microbench costs exactly two events per step: the
+        slice's completion and the idle timeout, plus each client's start
+        and finish."""
+        from repro.harness.bench import _fig8_shaped
+        n_clients, steps = 400, 60
+        stats = _fig8_shaped(n_clients, steps).kernel_stats()
+        assert stats.events == n_clients * (2 * steps + 2) == 48_800
+        assert stats.steps == n_clients * (2 * steps + 1)
+
+
+def _cpu_server(sim):
+    cpu = CPU(sim, context_switch_cost=0.0)
+    return cpu, lambda pid, work: cpu.compute(pid, work)
+
+
+def _disk_server(sim):
+    disk = Disk(sim)
+    return disk, lambda pid, work: disk.io(work, nbytes=10)
+
+
+@pytest.mark.parametrize("make_server", [_cpu_server, _disk_server],
+                         ids=["cpu", "disk"])
+class TestInterruptedSlice:
+    """An interrupted slice never wedges the server."""
+
+    @staticmethod
+    def _users(sim, run, log, specs):
+        def user(pid, start, work):
+            yield sim.timeout(start)
+            try:
+                yield from run(pid, work)
+            except Interrupt:
+                log.append((sim.now, pid, "interrupted"))
+            else:
+                log.append((sim.now, pid, "done"))
+
+        return [sim.process(user(*spec)) for spec in specs]
+
+    @staticmethod
+    def _interrupt_at(sim, process, when):
+        def interrupter():
+            yield sim.timeout(when)
+            process.interrupt()
+
+        sim.process(interrupter())
+
+    @staticmethod
+    def _slices(server):
+        return getattr(server, "ops", None) or server.context_switches
+
+    def test_queued_slice_is_withdrawn_uncharged(self, sim, make_server):
+        server, run = make_server(sim)
+        log = []
+        _, queued, _ = self._users(sim, run, log, [
+            (1, 0.0, 1.0), (2, 0.1, 1.0), (3, 0.2, 1.0)])
+        self._interrupt_at(sim, queued, 0.5)
+        sim.run()
+        assert log == [(0.5, 2, "interrupted"), (1.0, 1, "done"),
+                       (2.0, 3, "done")]
+        assert server.busy_time == 2.0
+        assert self._slices(server) == 2
+
+    def test_running_slice_holds_server_until_its_end(self, sim, make_server):
+        server, run = make_server(sim)
+        log = []
+        running, _, _ = self._users(sim, run, log, [
+            (1, 0.0, 1.0), (2, 0.1, 1.0), (3, 3.0, 1.0)])
+        self._interrupt_at(sim, running, 0.5)
+        sim.run()
+        # pid 2 starts only once pid 1's slice ends at 1.0; pid 3 then
+        # finds the server idle again
+        assert log == [(0.5, 1, "interrupted"), (2.0, 2, "done"),
+                       (4.0, 3, "done")]
+        assert server.busy_time == 3.0
+        assert self._slices(server) == 3
+
+
+# -- equivalence with the request/grant/release model -------------------------
+#
+# The reference servers below run each slice as a Resource request: charged
+# when the grant fires, then a timeout, then release.  The single-server
+# queues must reproduce that model exactly -- same completion times and
+# order, same accounting.
+
+class _ResourceCPU:
+    def __init__(self, sim, context_switch_cost):
+        self.sim = sim
+        self.context_switch_cost = context_switch_cost
+        self._res = Resource(sim, capacity=1)
+        self._last_pid = None
+        self.context_switches = 0
+        self.busy_time = 0.0
+
+    def compute(self, pid, work, priority=0):
+        req = self._res.request(priority)
+        yield req
+        if self._last_pid != pid:
+            work += self.context_switch_cost
+            self.context_switches += 1
+            self._last_pid = pid
+        self.busy_time += work
+        yield self.sim.timeout(work)
+        self._res.release(req)
+
+
+class _ResourceDisk:
+    def __init__(self, sim):
+        self.sim = sim
+        self._res = Resource(sim, capacity=1)
+        self.ops = 0
+        self.bytes_written = 0
+        self.busy_time = 0.0
+
+    def io(self, service_time, nbytes=0):
+        req = self._res.request()
+        yield req
+        self.ops += 1
+        self.bytes_written += nbytes
+        self.busy_time += service_time
+        yield self.sim.timeout(service_time)
+        self._res.release(req)
+
+
+# few distinct values so that start and completion times often tie
+_starts = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0)
+_works = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+def _replay(sim, processes, run):
+    """Run each process's slices after its start offset; log completions."""
+    log = []
+
+    def body(index, start, slices):
+        yield sim.timeout(start)
+        for k, args in enumerate(slices):
+            yield from run(*args)
+            log.append((sim.now, index, k))
+
+    for index, (start, slices) in enumerate(processes):
+        sim.process(body(index, start, slices))
+    sim.run()
+    return log
+
+
+class TestEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_starts, st.lists(
+        st.tuples(st.integers(0, 3), _works, st.sampled_from([-1, 0, 1])),
+        min_size=1, max_size=3)), min_size=1, max_size=12))
+    def test_cpu_matches_resource_model(self, processes):
+        def run_with(make):
+            sim = Simulator()
+            cpu = make(sim)
+            log = _replay(sim, processes, cpu.compute)
+            return log, cpu.context_switches, cpu.busy_time
+
+        assert (run_with(lambda sim: CPU(sim, context_switch_cost=0.01))
+                == run_with(lambda sim: _ResourceCPU(sim, 0.01)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_starts, st.lists(
+        st.tuples(_works, st.integers(0, 4096)), min_size=1, max_size=3)),
+        min_size=1, max_size=12))
+    def test_disk_matches_resource_model(self, processes):
+        def run_with(make):
+            sim = Simulator()
+            disk = make(sim)
+            log = _replay(sim, processes, disk.io)
+            return log, disk.ops, disk.bytes_written, disk.busy_time
+
+        assert run_with(Disk) == run_with(_ResourceDisk)

@@ -68,29 +68,6 @@ def test_pure_timeout_event_rate(benchmark):
     benchmark.extra_info["events_per_sec"] = round(stats.events_per_sec)
 
 
-def test_wheel_beats_heap_on_timeout_churn(monkeypatch):
-    """Acceptance bound: the timing wheel is ≥1.5× the heap on the
-    arm/cancel-dominated guard-timer workload (the paper's spam-session
-    shape).  Min-of-N with retries, like the overhead bounds below.
-    """
-    from repro.harness.bench import _timeout_churn
-
-    def run(backend):
-        monkeypatch.setenv("REPRO_SCHED", backend)
-        return _best_of(lambda: _timeout_churn(400, 200), 3)
-
-    run("wheel")
-    run("heap")  # warm up allocators and code paths
-    for attempt in range(5):
-        heap = run("heap")
-        wheel = run("wheel")
-        if wheel * 1.5 <= heap:
-            return
-    assert wheel * 1.5 <= heap, (
-        f"heap {heap:.4f}s vs wheel {wheel:.4f}s "
-        f"(ratio {heap / wheel:.2f}x, need 1.5x)")
-
-
 # -- observability overhead ---------------------------------------------------
 #
 # The tracing layer promises to be free when disabled: constructors check

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform as _platform
 import resource
 import sys
@@ -37,11 +36,12 @@ from ..sim.resources import CPU
 from .figures import EXPERIMENTS
 
 __all__ = ["main", "run_bench", "compare", "kernel_microbench",
-           "timeout_churn_microbench", "SUBCOMMANDS", "SCHEMA"]
+           "SUBCOMMANDS", "SCHEMA"]
 
-# /2 added ``sched`` and ``kernel_timeout_churn_per_sec``; ``compare``
-# lines old and new revisions up on their shared fields
-SCHEMA = "repro-bench/2"
+# /2 added ``sched`` and ``kernel_timeout_churn_per_sec``, /3 dropped them
+# again with the timing-wheel backend; ``compare`` lines old and new
+# revisions up on their shared fields
+SCHEMA = "repro-bench/3"
 
 #: subcommands dispatched before option parsing (see ``tools/check_docs.py``)
 SUBCOMMANDS = {
@@ -55,8 +55,7 @@ FIGURES = ("table1", "fig4", "fig8", "fig15")
 FIGURES_QUICK = ("table1", "fig4")
 
 #: higher-is-better / lower-is-better artifact entries ``compare`` checks
-_HIGHER_BETTER = ("kernel_events_per_sec", "kernel_steps_per_sec",
-                  "kernel_timeout_churn_per_sec")
+_HIGHER_BETTER = ("kernel_events_per_sec", "kernel_steps_per_sec")
 
 
 def _fig8_shaped(n_clients: int, steps: int) -> Simulator:
@@ -85,46 +84,6 @@ def kernel_microbench(quick: bool = False) -> dict:
             best = stats
     return {"kernel_events_per_sec": round(best.events_per_sec),
             "kernel_steps_per_sec": round(best.steps_per_sec)}
-
-
-def _timeout_churn(n_sessions: int, steps: int) -> Simulator:
-    """The arm/cancel-dominated workload: a guard timer per request.
-
-    Every step arms a long per-command guard (0.3 s, postfix's order of
-    magnitude), does a short unit of work, and cancels the guard — the
-    paper's spam-session shape, and the worst case for a global heap:
-    guards outnumber live events and sift through every push/pop until
-    they drain.  Under the wheel they tombstone in place.
-    """
-    sim = Simulator()
-
-    def session():
-        for _ in range(steps):
-            guard = sim.timeout(0.3)
-            yield sim.timeout(1e-3)
-            guard.cancel()
-
-    for _ in range(n_sessions):
-        sim.process(session())
-    sim.run()
-    return sim
-
-
-def timeout_churn_microbench(quick: bool = False) -> dict:
-    """Best-of-N queue entries/sec (live + tombstoned) on the churn shape.
-
-    Tombstoned guards are counted as processed entries — draining them is
-    exactly the work this benchmark measures — so the number is comparable
-    across queue backends, which drain identical entry streams.
-    """
-    n_sessions, steps, repeats = (200, 100, 2) if quick else (400, 200, 3)
-    best = 0.0
-    for _ in range(repeats):
-        stats = _timeout_churn(n_sessions, steps).kernel_stats()
-        drained = stats.events + stats.tombstone_skips
-        rate = drained / stats.wall_seconds if stats.wall_seconds else 0.0
-        best = max(best, rate)
-    return {"kernel_timeout_churn_per_sec": round(best)}
 
 
 def _tracing_overhead_pct(quick: bool = False) -> float:
@@ -164,8 +123,6 @@ def run_bench(quick: bool = False, out_dir: str = ".",
     print(f"repro-bench: kernel microbench "
           f"({'quick' if quick else 'full'} scale)...")
     kernel = kernel_microbench(quick)
-    print("repro-bench: timeout-churn microbench...")
-    kernel.update(timeout_churn_microbench(quick))
     figure_walls = {}
     for exp_id in figures:
         print(f"repro-bench: {exp_id}...")
@@ -180,7 +137,6 @@ def run_bench(quick: bool = False, out_dir: str = ".",
         "python": _platform.python_version(),
         "platform": _platform.platform(),
         "scale": "quick" if quick else "full",
-        "sched": os.environ.get("REPRO_SCHED", "heap"),
         **kernel,
         "figures": figure_walls,
         "tracing_overhead_pct": overhead,

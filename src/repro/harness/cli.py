@@ -18,7 +18,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -27,7 +26,6 @@ from ..obs.export import TraceFormatError, read_trace, write_trace
 from ..obs.invariants import violation_report
 from ..obs.report import trace_report
 from ..obs.timeseries import LiveDashboard, series_report
-from ..sim.eventq import SCHED_BACKENDS
 from .cache import ResultCache
 from .experiment import Scale
 from .figures import EXPERIMENTS
@@ -103,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--force", action="store_true",
                         help="overwrite existing --trace/--series output "
                              "files instead of refusing")
-    parser.add_argument("--sched", choices=sorted(SCHED_BACKENDS),
-                        default=None,
-                        help="event-queue backend for every simulator in "
-                             "this run (sets REPRO_SCHED; default: heap, "
-                             "or whatever REPRO_SCHED already says)")
     return parser
 
 
@@ -121,16 +114,15 @@ def _profile_one(exp_id: str, scale: str) -> int:
     profiler = cProfile.Profile()
     profiler.enable()
     # a span-less capture collects the kernel counters so the profile can
-    # be read next to the scheduler's workload shape
+    # be read next to the kernel's workload shape
     with capture(keep_spans=False) as tr:
         result = EXPERIMENTS[exp_id]().run(scale=scale)
     profiler.disable()
     profiler.dump_stats(dump)
     print(render_result(result))
     print()
-    backend = os.environ.get("REPRO_SCHED", "heap")
-    print(f"scheduler: {backend}")
-    for name in ("kernel.events", "kernel.steps", "kernel.tombstone_skips"):
+    print("kernel:")
+    for name in ("kernel.events", "kernel.steps", "kernel.queue_depth_peak"):
         metric = tr.registry.get(name)
         if metric is not None:
             print(f"  {name:<24} {metric.dump()}")
@@ -214,10 +206,6 @@ def main(argv=None) -> int:
     if argv and argv[0] == "diff-report":
         return _diff_report_cmd(list(argv[1:]))
     args = build_parser().parse_args(argv)
-    if args.sched:
-        # one knob for every Simulator in this process *and* in forked
-        # pool workers, which inherit the environment
-        os.environ["REPRO_SCHED"] = args.sched
     if args.list:
         for exp_id, cls in EXPERIMENTS.items():
             print(f"{exp_id:14s} {cls.title}")

@@ -244,13 +244,8 @@ METRICS: dict[str, MetricSpec] = {
         deterministic=False),
     "kernel.queue_depth_peak": MetricSpec(
         "gauge", "count",
-        "Peak number of scheduled entries (live + tombstoned) the event "
-        "queue held during any Simulator.run in this capture."),
-    "kernel.tombstone_skips": MetricSpec(
-        "counter", "count",
-        "Cancelled (tombstoned) queue entries dropped at pop by "
-        "Simulator.run — the lazy-cancellation workload the timing-wheel "
-        "backend is built for."),
+        "Peak number of scheduled entries the event heap held during any "
+        "Simulator.run in this capture."),
     # -- DNSBL cache (capture-level; aggregated over all resolvers) ---------
     "dnsbl.cache.hits": MetricSpec(
         "counter", "count", "TTL-cache hits (Fig. 15 numerator)."),
@@ -316,20 +311,17 @@ SERIES_FIELDS: dict[str, str] = {
 #: :func:`repro.harness.bench.run_bench` refuses to write an artifact whose
 #: keys differ from this set, and ``docs/OBSERVABILITY.md`` mirrors it.
 BENCH_FIELDS: dict[str, str] = {
-    "schema": "artifact schema identifier, currently 'repro-bench/2'",
+    "schema": "artifact schema identifier, currently 'repro-bench/3'",
     "runstamp": "UTC wall-clock stamp YYYYMMDDTHHMMSSZ, also in the filename",
     "python": "interpreter version the benchmark ran under",
     "platform": "OS/machine string from platform.platform()",
-    "scale": "'quick' or 'full' benchmark scale",
-    "sched": "event-queue backend the bench ran under ('heap' or 'wheel', "
-             "from REPRO_SCHED)",
+    "scale": "'quick' or 'full' size of the kernel microbench and "
+             "tracing-overhead runs; the figure subset always runs at "
+             "scale='quick'",
     "kernel_events_per_sec": "DES-kernel events/sec, best of N runs of the "
                              "Figure-8-shaped microbench",
     "kernel_steps_per_sec": "DES-kernel generator resumes/sec on the same "
                             "microbench run",
-    "kernel_timeout_churn_per_sec": "DES-kernel events/sec on the "
-                                    "arm/cancel-dominated guard-timer "
-                                    "microbench (the timing-wheel workload)",
     "figures": "per-experiment wall-clock seconds for the fixed figure "
                "subset, as {experiment id: seconds}",
     "tracing_overhead_pct": "percent wall-time cost of running the "

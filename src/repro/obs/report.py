@@ -12,8 +12,7 @@ Five sections:
   segments, plus the top-K slowest-connection exemplars and its own
   blamed-vs-raw reconciliation (:mod:`repro.obs.critical_path`);
 * **kernel scheduler** — per experiment: events processed, generator
-  resumes, tombstone skips (cancelled timeouts dropped lazily by the
-  event queue) and the peak queue depth, from the capture-level metric
+  resumes and the peak event-heap depth, from the capture-level metric
   dumps — scheduler regressions stay diagnosable from the trace alone;
 * **reconciliation** — span-derived totals checked against the metrics
   registry dumps embedded in the same trace (the per-phase sums must
@@ -189,13 +188,12 @@ def trace_report(records: list[dict]) -> tuple[str, bool]:
     lines.append("")
     lines.append("kernel scheduler")
     lines.append(f"{'experiment':<14}{'events':>12}{'steps':>12}"
-                 f"{'tomb-skips':>12}{'depth-peak':>12}")
+                 f"{'depth-peak':>12}")
     for exp in sorted(kernel_by_exp):
         kernel = kernel_by_exp[exp]
         lines.append(
             f"{exp:<14}{kernel['kernel.events']:>12.0f}"
             f"{kernel['kernel.steps']:>12.0f}"
-            f"{kernel['kernel.tombstone_skips']:>12.0f}"
             f"{kernel['kernel.queue_depth_peak']:>12.0f}")
     if not kernel_by_exp:
         lines.append("(no kernel metrics in trace)")

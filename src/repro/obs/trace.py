@@ -86,8 +86,6 @@ class Tracer:
         self._kernel_events = declare(self.registry, "kernel.events")
         self._kernel_steps = declare(self.registry, "kernel.steps")
         self._kernel_wall = declare(self.registry, "kernel.wall_seconds")
-        self._kernel_tombstones = declare(self.registry,
-                                          "kernel.tombstone_skips")
         self._kernel_depth = declare(self.registry,
                                      "kernel.queue_depth_peak")
 
@@ -115,13 +113,11 @@ class Tracer:
         self._metrics.append((run, dump))
 
     def note_kernel(self, events: int, steps: int, wall: float,
-                    tombstones: int = 0, depth_peak: int = 0) -> None:
+                    depth_peak: int = 0) -> None:
         """Called by ``Simulator.run`` (once per call) with its totals."""
         self._kernel_events.inc(events)
         self._kernel_steps.inc(steps)
         self._kernel_wall.inc(wall)
-        if tombstones:
-            self._kernel_tombstones.inc(tombstones)
         if depth_peak > self._kernel_depth.value:
             self._kernel_depth.set(depth_peak)
 
@@ -245,7 +241,7 @@ class NullTracer:
         pass
 
     def note_kernel(self, events: int, steps: int, wall: float,
-                    tombstones: int = 0, depth_peak: int = 0) -> None:
+                    depth_peak: int = 0) -> None:
         pass
 
     def series_cursor(self) -> None:

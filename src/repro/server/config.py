@@ -133,11 +133,6 @@ class ServerConfig:
     delivery_concurrency: int = 8
     #: pending-connection backlog before the server refuses (listen(2) queue)
     accept_backlog: int = 1024
-    #: per-command watchdog timer (postfix smtpd_timeout): armed before
-    #: every client round-trip and disarmed when the reply arrives, so the
-    #: kernel sees the §5 arm/almost-always-cancel churn.  ``None`` keeps
-    #: the plain un-guarded wait.
-    command_timeout: float | None = None
     hostname: str = "mail.dest.example"
 
     def __post_init__(self):
@@ -156,8 +151,6 @@ class ServerConfig:
             raise ConfigError(f"unknown dnsbl mode {self.dnsbl_mode!r}")
         if self.delivery_concurrency < 1:
             raise ConfigError("delivery_concurrency must be >= 1")
-        if self.command_timeout is not None and self.command_timeout <= 0:
-            raise ConfigError("command_timeout must be positive")
 
     @classmethod
     def vanilla(cls, **overrides) -> "ServerConfig":

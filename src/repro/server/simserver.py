@@ -69,7 +69,6 @@ class MailServerSim:
         self.sim = sim
         self.config = config
         self.costs = config.costs
-        self._cmd_timeout = config.command_timeout
         self.resolver = resolver
         self.reject_blacklisted = reject_blacklisted
         self.metrics = ServerMetrics()
@@ -284,24 +283,8 @@ class MailServerSim:
                                         cid, t_conn)
 
     def _rtt(self):
-        """One client round-trip on the socket.
-
-        With ``command_timeout`` set the server arms a watchdog timer
-        before the read and disarms it once the reply arrives — postfix's
-        ``smtpd_timeout``, and exactly the arm/almost-always-cancel churn
-        of §5 that the kernel's lazy cancellation is built for.  The
-        emulated client always answers, so a guard that outlives the RTT
-        fires as a no-op: simulated behaviour is identical with or without
-        the watchdog; only the kernel-side event churn differs.
-        """
-        sim = self.sim
-        watchdog = self._cmd_timeout
-        if watchdog is None:
-            yield sim.timeout(self.costs.rtt)
-            return
-        guard = sim.timeout(watchdog)
-        yield sim.timeout(self.costs.rtt)
-        guard.cancel()
+        """One client round-trip on the socket."""
+        yield self.sim.timeout(self.costs.rtt)
 
     def _run_envelope(self, conn: Connection, pid: int,
                       event_mode: bool, cid: int = 0, t_conn: float = 0.0):

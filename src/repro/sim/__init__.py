@@ -8,7 +8,6 @@ deterministic RNG streams (:mod:`repro.sim.random`) and metric collectors
 
 from .core import (AllOf, AnyOf, Event, Interrupt, Process, SimulationError,
                    Simulator, Timeout)
-from .eventq import SCHED_BACKENDS, HeapQueue, WheelQueue, make_queue
 from .random import RngStream, SeedSequence
 from .resources import CPU, Disk, Request, Resource, Store
 from .stats import Cdf, Counter, KernelStats, TimeSeries, summarize
@@ -16,7 +15,6 @@ from .stats import Cdf, Counter, KernelStats, TimeSeries, summarize
 __all__ = [
     "AllOf", "AnyOf", "Event", "Interrupt", "Process", "SimulationError",
     "Simulator", "Timeout",
-    "HeapQueue", "WheelQueue", "SCHED_BACKENDS", "make_queue",
     "RngStream", "SeedSequence",
     "CPU", "Disk", "Request", "Resource", "Store",
     "Cdf", "Counter", "KernelStats", "TimeSeries", "summarize",

@@ -12,8 +12,8 @@ Design notes
 ------------
 * Time is a ``float`` in **seconds**.  There is no wall-clock coupling; a run
   is fully deterministic given its RNG seeds.
-* The event heap orders by ``(time, priority, sequence)`` so same-time events
-  fire in a stable, insertion-ordered way.
+* The event heap holds ``(time, seq, event)`` entries, ``seq`` being a
+  per-simulator push counter, so same-time events fire in insertion order.
 * A :class:`Process` is itself an :class:`Event` that succeeds with the
   generator's return value, so processes can wait on each other.
 
@@ -36,16 +36,6 @@ that path allocation-free where it can:
   ``itertools.count``.
 * :meth:`Simulator.run` inlines the single-callback common case and counts
   events/steps and wall time, exposed via :meth:`Simulator.kernel_stats`.
-* The event queue itself is pluggable (:mod:`repro.sim.eventq`): the binary
-  heap is the default, and ``Simulator(queue="wheel")`` — or the
-  ``REPRO_SCHED`` environment variable, or ``repro-experiments --sched`` —
-  selects a hierarchical timing wheel tuned for timeout-churn workloads.
-  Both backends drain entries in identical ``(time, seq)`` order, so
-  results, traces and recordings are byte-identical across backends.
-* :meth:`Timeout.cancel` tombstones a pending timeout in place — the queue
-  entry is skipped when it drains instead of firing and no-oping — and
-  recycles the object into the free list immediately when nothing else
-  references it.
 
 Example
 -------
@@ -64,14 +54,12 @@ Example
 from __future__ import annotations
 
 import heapq
-import os
 import sys
 from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..obs.trace import tracer as _obs_tracer
-from .eventq import HeapQueue, make_queue
 from .stats import KernelStats
 
 __all__ = [
@@ -86,9 +74,8 @@ __all__ = [
 ]
 
 #: default free-list capacity for pooled :class:`Timeout` objects; override
-#: per-simulator with ``Simulator(timeout_pool=...)`` or globally via the
-#: ``REPRO_SIM_TIMEOUT_POOL`` environment variable (0 disables pooling).
-DEFAULT_TIMEOUT_POOL = int(os.environ.get("REPRO_SIM_TIMEOUT_POOL", "1024"))
+#: per-simulator with ``Simulator(timeout_pool=...)`` (0 disables pooling).
+DEFAULT_TIMEOUT_POOL = 1024
 
 # Pooling relies on CPython reference counts to prove a timeout is unreachable
 # before recycling it; on runtimes without refcounts we simply never recycle.
@@ -125,15 +112,9 @@ class Event:
     through the callback list.  Additional subscribers (conditions, a second
     process) still use ``callbacks`` and run after the waiter, preserving
     subscription order.
-
-    ``_entry_seq`` ties the event to its live queue entry: every push stamps
-    the event with the entry's sequence number, and the run loop drops any
-    entry whose stamp no longer matches (a tombstone — see
-    :meth:`Timeout.cancel`).  0 means "no live entry".
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "_waiter",
-                 "_entry_seq")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "_waiter")
 
     #: sentinel for "not yet triggered"
     _PENDING = object()
@@ -145,7 +126,6 @@ class Event:
         self._ok: bool = True
         self._scheduled = False
         self._waiter: Optional["Process"] = None
-        self._entry_seq: int = 0
 
     # -- state ------------------------------------------------------------
     @property
@@ -214,12 +194,7 @@ _PENDING = Event._PENDING
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` simulated seconds after creation.
-
-    A pending timeout can be revoked with :meth:`cancel` — the idiom for
-    guard timers (per-command SMTP timeouts, watchdogs) that are armed on
-    every request and almost never fire.
-    """
+    """An event that fires ``delay`` simulated seconds after creation."""
 
     __slots__ = ("delay",)
 
@@ -231,52 +206,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         sim._schedule(self, delay)
-
-    def cancel(self) -> bool:
-        """Revoke the timeout so it never fires; returns False if too late.
-
-        The queue entry is *tombstoned* in place — lazily skipped when it
-        drains — rather than extracted, so cancellation is O(1) under any
-        backend.  Cancelling consumes the timeout: callbacks are dropped and
-        the object may be recycled into the simulator's free list at once,
-        so a cancelled timeout must not be reused or waited on.  Cancelling
-        a timeout some process is currently waiting on is an error (it
-        would strand the process forever — interrupt the process instead).
-        """
-        callbacks = self.callbacks
-        if callbacks is None or self._entry_seq == 0:
-            return False                # already fired, or already cancelled
-        waiter = self._waiter
-        if (waiter is not None and waiter._target is self
-                and waiter._value is _PENDING):
-            raise SimulationError(
-                f"cannot cancel {self!r}: process {waiter.name!r} is "
-                "waiting on it (interrupt the process instead)")
-        for callback in callbacks:
-            owner = getattr(callback, "__self__", None)
-            if (isinstance(owner, Process) and owner._target is self
-                    and owner._value is _PENDING):
-                raise SimulationError(
-                    f"cannot cancel {self!r}: process {owner.name!r} is "
-                    "waiting on it (interrupt the process instead)")
-        self._entry_seq = 0             # tombstone the queue entry
-        self._waiter = None
-        self.callbacks = None
-        sim = self.sim
-        sim.timeouts_cancelled += 1
-        # Recycle immediately when provably unreachable.  The references at
-        # this point are: getrefcount's argument, the method's ``self``, the
-        # queue entry tuple, and — when called through a variable rather
-        # than on a fresh expression — the caller's binding.  Anything
-        # beyond 4 means user code or a condition still holds the object.
-        pool = sim._timeout_pool
-        if len(pool) < sim._pool_max and _getrefcount(self) <= 4:
-            callbacks.clear()
-            self.callbacks = callbacks
-            self._value = None
-            self._ok = True
-            pool.append(self)
-        return True
 
 
 class Process(Event):
@@ -382,10 +311,6 @@ class Process(Event):
                 callbacks.append(self._resume)
             return
         self._wire(target)
-
-    def _detach(self) -> None:
-        """Forget the event we were waiting on (used on interrupt)."""
-        self._target = None
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         """Advance the generator one step (throw path; sends are inlined in
@@ -535,34 +460,17 @@ class Simulator:
     pooling; the default comes from :data:`DEFAULT_TIMEOUT_POOL`).  Pooling
     is purely an allocation optimisation — event ordering and results are
     identical with it on or off.
-
-    ``queue`` selects the event-queue backend (:mod:`repro.sim.eventq`):
-    ``"heap"`` (the default), ``"wheel"``, or a backend instance.  When not
-    given, the ``REPRO_SCHED`` environment variable decides (read per
-    construction, so workers forked by the harness inherit the choice).
-    Backends are behaviourally identical — same ordering, same results,
-    byte-identical traces — and differ only in throughput shape.
     """
 
-    __slots__ = ("now", "_queue", "_qheap", "_qpend", "_seq",
-                 "_active_process",
+    __slots__ = ("now", "_heap", "_depth_peak", "_seq", "_active_process",
                  "_unhandled", "_pool_max", "_timeout_pool",
                  "events_processed", "steps_executed", "wall_seconds",
-                 "timeouts_cancelled", "_obs", "_series", "_rec")
+                 "_obs", "_series", "_rec")
 
-    def __init__(self, timeout_pool: Optional[int] = None, queue=None):
+    def __init__(self, timeout_pool: Optional[int] = None):
         self.now: float = 0.0
-        if queue is None:
-            queue = os.environ.get("REPRO_SCHED", "heap")
-        self._queue = make_queue(queue)
-        # the heap backend's raw list, for the inlined push/pop fast paths;
-        # None routes pushes through the backend's push() method instead
-        self._qheap: Optional[list] = (
-            self._queue._heap if isinstance(self._queue, HeapQueue) else None)
-        # the wheel backend's pending-batch append, bound once — the list
-        # identity is stable (refills clear it in place), so this stays valid
-        self._qpend = (None if self._qheap is not None
-                       else self._queue._pending.append)
+        self._heap: list[tuple[float, int, Event]] = []
+        self._depth_peak: int = 0
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self._unhandled: list[tuple[Process, BaseException]] = []
@@ -574,7 +482,6 @@ class Simulator:
         self.events_processed: int = 0
         self.steps_executed: int = 0
         self.wall_seconds: float = 0.0
-        self.timeouts_cancelled: int = 0
         # observability: counters publish once per run() call, never per
         # event, so tracing adds no per-event work even when enabled.
         # Time-series sampling costs one float comparison per event in
@@ -600,17 +507,7 @@ class Simulator:
             timeout._value = value
             timeout._ok = True
             seq = self._seq = self._seq + 1
-            timeout._entry_seq = seq
-            heap = self._qheap
-            time = self.now + delay
-            if heap is not None:
-                _heappush(heap, (time, seq, timeout))
-            else:
-                queue = self._queue
-                if time >= queue._hz:  # the wheel's pending fast path
-                    self._qpend((time, seq, timeout))
-                else:
-                    queue.push(time, seq, timeout)
+            _heappush(self._heap, (self.now + delay, seq, timeout))
             return timeout
         return Timeout(self, delay, value)
 
@@ -634,19 +531,13 @@ class Simulator:
         return self._active_process
 
     def kernel_stats(self) -> KernelStats:
-        """Engine throughput counters: events/steps processed, wall time,
-        plus the event-queue backend's scheduler counters."""
-        queue = self._queue
+        """Engine throughput counters: events/steps processed, wall time
+        and the event heap's peak depth."""
         return KernelStats(events=self.events_processed,
                            steps=self.steps_executed,
                            wall_seconds=self.wall_seconds,
                            pooled_timeouts=len(self._timeout_pool),
-                           queue_backend=queue.name,
-                           queue_depth_peak=queue.depth_peak,
-                           tombstone_skips=queue.tombstone_skips,
-                           timeouts_cancelled=self.timeouts_cancelled,
-                           queue_spills=getattr(queue, "spills", 0),
-                           queue_cascades=getattr(queue, "cascades", 0))
+                           queue_depth_peak=self._depth_peak)
 
     def series_attach(self, run: int, registry) -> None:
         """Sample ``registry`` as ``run`` in this simulator's time series.
@@ -667,7 +558,7 @@ class Simulator:
         ``until`` after the loop drains.
         """
         limit = float("inf") if until is None else until
-        heap = self._qheap
+        heap = self._heap
         heappop = _heappop
         unhandled = self._unhandled
         pool = self._timeout_pool
@@ -677,38 +568,16 @@ class Simulator:
         next_sample = series.next_at if series is not None else float("inf")
         events = 0
         steps = 0
-        tombstones = 0
-        queue = self._queue
-        depth_peak = queue.depth_peak
-        if heap is None:
-            ready = queue._ready
-            ri = queue.ri
-            consumed = 0
+        depth_peak = self._depth_peak
         wall0 = perf_counter()
         try:
-          if heap is not None:
-            # ---- heap backend: the historical fully-inlined loop ----------
             while heap:
                 depth = len(heap)
                 if depth > depth_peak:
                     depth_peak = depth
                 if heap[0][0] > limit:
                     break
-                time, seq, event = heappop(heap)
-                if event._entry_seq != seq:
-                    # tombstone: cancelled after this entry was pushed.  The
-                    # skip is invisible to results (no clock advance, no
-                    # sampling, not counted as a processed event) so both
-                    # backends stay byte-identical.
-                    tombstones += 1
-                    if (event.__class__ is Timeout and len(pool) < pool_max
-                            and getrefcount(event) == 2):
-                        event.callbacks = []
-                        event._waiter = None
-                        event._value = None
-                        event._ok = True
-                        pool.append(event)
-                    continue
+                time, _, event = heappop(heap)
                 self.now = time
                 if time >= next_sample:
                     next_sample = series.advance_to(time)
@@ -824,166 +693,14 @@ class Simulator:
                     raise SimulationError(
                         f"unhandled exception in process {process.name!r}: "
                         f"{exc!r}") from exc
-          else:
-            # ---- wheel backend: drain sorted bucket runs ------------------
-            # ``ready`` is the queue's current sorted run; ``ri`` the read
-            # index.  Consumed slots are None-ed so the entry tuple (and a
-            # cancelled timeout behind it) frees immediately; push() skips
-            # the None-ed prefix itself, so ``ri`` is written back only at
-            # refill and exit.  The dispatch body is a verbatim copy of the
-            # heap loop's — a per-event helper call here would cost more
-            # than the wheel saves.
-            while True:
-                if ri >= len(ready):
-                    queue.ri = ri
-                    depth = queue._n + len(queue._pending) - consumed
-                    if depth > depth_peak:
-                        depth_peak = depth
-                    refilled = queue._refill(limit)
-                    skips = queue._casc_skips
-                    if skips:
-                        tombstones += skips
-                        queue._casc_skips = 0
-                    if refilled is None:
-                        break
-                    ready = queue._ready
-                    ri = 0
-                entry = ready[ri]
-                time, seq, event = entry
-                if time > limit:
-                    break
-                ready[ri] = None
-                ri += 1
-                consumed += 1
-                entry = None
-                if event._entry_seq != seq:
-                    # tombstone: cancelled after this entry was pushed (see
-                    # the heap loop — identical skip semantics)
-                    tombstones += 1
-                    if (event.__class__ is Timeout and len(pool) < pool_max
-                            and getrefcount(event) == 2):
-                        event.callbacks = []
-                        event._waiter = None
-                        event._value = None
-                        event._ok = True
-                        pool.append(event)
-                    continue
-                self.now = time
-                if time >= next_sample:
-                    next_sample = series.advance_to(time)
-                events += 1
-                if event.__class__ is Timeout:
-                    waiter = event._waiter
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if waiter is not None:
-                        event._waiter = None
-                        if (waiter._target is event
-                                and waiter._value is _PENDING
-                                and not waiter._interrupts):
-                            # Inlined Process resume — see the heap loop.
-                            waiter._target = None
-                            steps += 1
-                            self._active_process = waiter
-                            try:
-                                target = waiter.generator.send(event._value)
-                            except StopIteration as stop:
-                                self._active_process = None
-                                waiter._finish_ok(stop.value)
-                            except BaseException as error:
-                                self._active_process = None
-                                waiter._finish_fail(error)
-                            else:
-                                self._active_process = None
-                                if (target.__class__ is Timeout
-                                        and target.sim is self
-                                        and target._waiter is None):
-                                    cbs = target.callbacks
-                                    if cbs is not None and not cbs:
-                                        target._waiter = waiter
-                                        waiter._target = target
-                                    else:
-                                        waiter._wire(target)
-                                else:
-                                    waiter._wire(target)
-                        elif waiter._value is _PENDING and waiter._interrupts:
-                            waiter._resume(event)
-                        # else: stale — waiter moved on or finished
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if (len(pool) < pool_max and getrefcount(event) == 2):
-                        if callbacks is not None:
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                        else:
-                            event.callbacks = []
-                        pool.append(event)
-                else:
-                    waiter = event._waiter
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if waiter is not None:
-                        event._waiter = None
-                        if (waiter._target is event
-                                and waiter._value is _PENDING
-                                and not waiter._interrupts):
-                            waiter._target = None
-                            if event._ok:
-                                steps += 1
-                                self._active_process = waiter
-                                try:
-                                    target = waiter.generator.send(event._value)
-                                except StopIteration as stop:
-                                    self._active_process = None
-                                    waiter._finish_ok(stop.value)
-                                except BaseException as error:
-                                    self._active_process = None
-                                    waiter._finish_fail(error)
-                                else:
-                                    self._active_process = None
-                                    if (target.__class__ is Timeout
-                                            and target.sim is self
-                                            and target._waiter is None):
-                                        cbs = target.callbacks
-                                        if cbs is not None and not cbs:
-                                            target._waiter = waiter
-                                            waiter._target = target
-                                        else:
-                                            waiter._wire(target)
-                                    else:
-                                        waiter._wire(target)
-                            else:
-                                waiter._step(None, event._value)
-                        elif waiter._value is _PENDING and waiter._interrupts:
-                            waiter._resume(event)
-                        # else: stale — waiter moved on or finished
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                if unhandled:
-                    process, exc = unhandled[0]
-                    # A process waiting on the failed process counts as
-                    # handling.
-                    raise SimulationError(
-                        f"unhandled exception in process {process.name!r}: "
-                        f"{exc!r}") from exc
         finally:
-            if heap is None:
-                queue.ri = ri
-                queue._n -= consumed
-            queue.depth_peak = depth_peak
-            queue.tombstone_skips += tombstones
+            self._depth_peak = depth_peak
             self.events_processed += events
             self.steps_executed += steps
             wall = perf_counter() - wall0
             self.wall_seconds += wall
             if self._obs is not None:
-                self._obs.note_kernel(events, steps, wall, tombstones,
-                                      depth_peak)
+                self._obs.note_kernel(events, steps, wall, depth_peak)
             if self._rec is not None:
                 # wall time is deliberately absent: recordings must be
                 # byte-identical across runs and --jobs counts
@@ -996,13 +713,9 @@ class Simulator:
                 series.advance_to(until)
 
     def peek(self) -> float:
-        """Time of the next *live* scheduled event, or ``inf`` when idle.
-
-        Cancelled (tombstoned) entries are purged on the way, so the
-        answer is identical under every queue backend.
-        """
-        time = self._queue.peek_time()
-        return time if time is not None else float("inf")
+        """Time of the next scheduled event, or ``inf`` when idle."""
+        heap = self._heap
+        return heap[0][0] if heap else float("inf")
 
     # -- engine internals -----------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
@@ -1010,17 +723,7 @@ class Simulator:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         seq = self._seq = self._seq + 1
-        event._entry_seq = seq
-        heap = self._qheap
-        time = self.now + delay
-        if heap is not None:
-            _heappush(heap, (time, seq, event))
-        else:
-            queue = self._queue
-            if time >= queue._hz:      # the wheel's pending fast path
-                self._qpend((time, seq, event))
-            else:
-                queue.push(time, seq, event)
+        _heappush(self._heap, (self.now + delay, seq, event))
 
     def _note_failure(self, process: Process, exc: BaseException) -> None:
         """Abort the run for a failed process unless somebody is waiting on it.

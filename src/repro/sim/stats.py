@@ -25,26 +25,15 @@ class KernelStats:
     of generator resumes, and ``wall_seconds`` the real time spent inside
     ``Simulator.run``.  The rates make kernel regressions visible without a
     profiler: every figure experiment is bounded by events/sec.
-
-    The scheduler fields describe the event-queue backend
-    (:mod:`repro.sim.eventq`): ``queue_depth_peak`` is the largest number of
-    entries held at once (cancelled-but-undrained ones included),
-    ``tombstone_skips`` counts cancelled entries filtered at pop,
-    ``timeouts_cancelled`` counts ``Timeout.cancel()`` calls, and
-    ``queue_spills`` / ``queue_cascades`` are the timing wheel's overflow
-    and level-1 refill counters (zero under the heap backend).
+    ``queue_depth_peak`` is the largest number of entries the event heap
+    held at once.
     """
 
     events: int = 0
     steps: int = 0
     wall_seconds: float = 0.0
     pooled_timeouts: int = 0
-    queue_backend: str = "heap"
     queue_depth_peak: int = 0
-    tombstone_skips: int = 0
-    timeouts_cancelled: int = 0
-    queue_spills: int = 0
-    queue_cascades: int = 0
 
     @property
     def events_per_sec(self) -> float:
@@ -63,17 +52,13 @@ class KernelStats:
             "steps_per_sec": self.steps_per_sec,
             "pooled_timeouts": float(self.pooled_timeouts),
             "queue_depth_peak": float(self.queue_depth_peak),
-            "tombstone_skips": float(self.tombstone_skips),
-            "timeouts_cancelled": float(self.timeouts_cancelled),
-            "queue_spills": float(self.queue_spills),
-            "queue_cascades": float(self.queue_cascades),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"KernelStats(events={self.events}, steps={self.steps}, "
                 f"wall={self.wall_seconds:.3f}s, "
                 f"{self.events_per_sec:,.0f} ev/s, "
-                f"queue={self.queue_backend})")
+                f"depth_peak={self.queue_depth_peak})")
 
 
 class Counter:

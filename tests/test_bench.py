@@ -1,6 +1,7 @@
 """Tests for the continuous-benchmark pipeline (repro.harness.bench)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ class TestArtifact:
     def test_keys_match_contract_exactly(self, artifact):
         art, _ = artifact
         assert set(art) == set(BENCH_FIELDS)
-        assert art["schema"] == bench.SCHEMA == "repro-bench/2"
+        assert art["schema"] == bench.SCHEMA == "repro-bench/3"
 
     def test_written_file_round_trips(self, artifact):
         art, path = artifact
@@ -102,3 +103,23 @@ class TestCompare:
         assert bench.main(["compare", str(tmp_path / "a.json"),
                            str(tmp_path / "b.json")]) == 2
         assert "cannot compare" in capsys.readouterr().err
+
+    def test_schema_2_baseline_compares_against_schema_3(self, tmp_path):
+        """The committed ``/2`` baseline stays usable: its two fields that
+        ``/3`` dropped are skipped with a warning, never flagged."""
+        path = (Path(__file__).resolve().parent.parent
+                / "BENCH_20260807T062546Z.json")
+        old = json.loads(path.read_text())
+        assert old["schema"] == "repro-bench/2"
+        new = {key: value for key, value in old.items()
+               if key not in ("sched", "kernel_timeout_churn_per_sec")}
+        new["schema"] = bench.SCHEMA
+        assert set(new) == set(BENCH_FIELDS)
+        new_path = tmp_path / "new.json"
+        new_path.write_text(json.dumps(new))
+        text, regressions = bench.compare(str(path), str(new_path))
+        assert regressions == []
+        assert ("warning: only in old artifact (skipped): "
+                "kernel_timeout_churn_per_sec, sched") in text
+        assert "only in new artifact" not in text
+        assert "no regressions" in text

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.sim import (AllOf, AnyOf, Interrupt, SimulationError, Simulator)
@@ -266,3 +269,125 @@ def test_deterministic_replay(sim):
     sim.run()
     sim2.run()
     assert log1 == log2
+
+
+# -- the event heap: ordering, windowed runs, peek, depth ---------------------
+
+def _mixed_workload(sim, rng, n_procs=25, n_steps=30):
+    """Seeded processes sleeping random delays, zero-delay resumes and
+    colliding due times included.
+
+    Returns ``(log, wakes)``: ``log`` gets ``(now, push order, value)`` per
+    resume; ``wakes`` maps each sleeping process to its pending due time,
+    so a test can compute what :meth:`Simulator.peek` must answer.
+    """
+    log: list = []
+    wakes: dict = {}
+    pushes = itertools.count()
+
+    def proc(name):
+        for step in range(n_steps):
+            roll = rng.random()
+            if roll < 0.15:
+                delay = 0.0                             # same-instant resume
+            elif roll < 0.5:
+                delay = rng.choice((0.5, 1.0, 2.0))     # equal due times
+            else:
+                delay = rng.random() * 8.0
+            wakes[name] = sim.now + delay
+            order = next(pushes)
+            value = yield sim.timeout(delay, value=(name, step))
+            del wakes[name]
+            log.append((sim.now, order, value))
+
+    for p in range(n_procs):
+        sim.process(proc(p))
+    return log, wakes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+def test_heap_fires_in_time_then_push_order(seed):
+    sim = Simulator()
+    log, wakes = _mixed_workload(sim, random.Random(seed))
+    sim.run()
+    assert len(log) == 25 * 30 and not wakes
+    keys = [(now, order) for now, order, _ in log]
+    assert keys == sorted(keys)
+    assert any(a[0] == b[0] for a, b in zip(log, log[1:]))  # ties occurred
+
+
+@pytest.mark.parametrize("seed", [3, 11, 99, 600])
+def test_windowed_run_matches_uncut_run_and_peek(seed):
+    """Cutting a run into ``run(until=t)`` windows changes nothing: same
+    log, same event count.  An event due exactly at a cut fires inside
+    that window, and after each cut ``peek()`` is the smallest pending due
+    time (``inf`` once drained)."""
+    whole = Simulator()
+    whole_log, _ = _mixed_workload(whole, random.Random(seed))
+    whole.run()
+
+    sim = Simulator()
+    log, wakes = _mixed_workload(sim, random.Random(seed))
+    fired_at_cut = []
+
+    def on_the_cut():
+        yield sim.timeout(2.5)
+        fired_at_cut.append(sim.now)
+
+    sim.process(on_the_cut())
+    for cut in (0.0, 0.25, 1.0, 2.5, 7.75, 30.0):
+        sim.run(until=cut)
+        assert sim.now == cut
+        assert all(now <= cut for now, _, _ in log)
+        assert sim.peek() == min(wakes.values(), default=float("inf"))
+        if cut == 2.5:
+            assert fired_at_cut == [2.5]
+    sim.run()
+    assert sim.peek() == float("inf") and not wakes
+    assert log == whole_log
+    # the extra process costs exactly three events: start, wake, finish
+    assert (sim.kernel_stats().events
+            == whole.kernel_stats().events + 3)
+
+
+def test_windowed_run_on_a_steady_tick():
+    """Cuts landing on and between a 0.25 s tick neither leak nor hold
+    back events."""
+    sim = Simulator()
+    log = []
+
+    def proc():
+        for k in range(1, 41):
+            yield sim.timeout(0.25, value=k)
+            log.append((sim.now, k))
+
+    sim.process(proc())
+    for cut in (0.25, 0.5, 1.125, 2.0, 4.75, 10.0):
+        sim.run(until=cut)
+        k = int(cut // 0.25)
+        assert log[-1] == (k * 0.25, k)
+        assert sim.peek() == ((k + 1) * 0.25 if k < 40 else float("inf"))
+    sim.run()
+    assert log == [(0.25 * k, k) for k in range(1, 41)]
+    assert sim.peek() == float("inf")
+
+
+def test_queue_depth_peak_exact():
+    """``fan(n)`` parks ``n`` bare timeouts plus its own sleep.  After
+    both starts have run the heap holds 4 + 1 + 2 + 1 = 8 entries, the
+    most it ever holds, and a later windowed run does not reset the peak."""
+    sim = Simulator()
+
+    def fan(n):
+        for k in range(n):
+            sim.timeout(k + 1.0)
+        yield sim.timeout(0.5)
+
+    sim.process(fan(4))
+    sim.process(fan(2))
+    assert sim.kernel_stats().queue_depth_peak == 0   # measured by run()
+    sim.run(until=0.0)
+    assert sim.kernel_stats().queue_depth_peak == 8
+    sim.run()
+    assert sim.kernel_stats().queue_depth_peak == 8
+

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..dnsbl.latency import PROVIDERS
-from ..dnsbl.resolver import DnsblBank, DnsblResolver, IpStrategy, PrefixStrategy
+from ..dnsbl.resolver import STRATEGIES, DnsblBank, DnsblResolver
 from ..dnsbl.server import DnsblServer
 from ..dnsbl.zone import DnsblZone
 from ..server.config import CostModel, ServerConfig
@@ -58,20 +58,21 @@ def make_dnsbl_bank(blacklisted_ips, strategy: str,
 
     All providers serve the same zone contents (public DNSBLs overlap
     heavily for botnet hosts) but have distinct latency behaviour (Fig. 5).
-    ``strategy`` is ``"ip"`` or ``"prefix"``.
+    The listings are built once and shared read-only by every provider's
+    zone.  ``strategy`` is ``"ip"`` or ``"prefix"``.
     """
-    if strategy not in ("ip", "prefix"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown DNSBL strategy {strategy!r}")
     names = list(PROVIDERS)
     if n_providers is not None:
         names = names[:n_providers]
+    listings = DnsblZone(names[0], blacklisted_ips)
     resolvers = []
     for index, name in enumerate(names):
-        zone = DnsblZone(name, blacklisted_ips)
-        server = DnsblServer(zone, ttl=int(ttl))
-        strat = IpStrategy() if strategy == "ip" else PrefixStrategy()
+        server = DnsblServer(listings.with_origin(name), ttl=int(ttl))
         resolvers.append(DnsblResolver(
-            server, strat, ttl=ttl, latency_model=PROVIDERS[name],
+            server, STRATEGIES[strategy](), ttl=ttl,
+            latency_model=PROVIDERS[name],
             rng=RngStream(seed * 1000 + index)))
     return DnsblBank(resolvers)
 

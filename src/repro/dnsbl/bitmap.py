@@ -11,6 +11,11 @@ server queries::
 and reads bit ``w mod 128`` of the returned bitmap.  "The bitmap uniquely
 identifies each blacklisted IP address; it does not punish any IP not
 blacklisted."
+
+On a 32-bit address ``n`` the scheme is integer arithmetic: the /25 is
+``n >> 7`` (its low bit is the half label) and the bitmap bit is ``n & 127``.
+The simulator carries addresses as ints; the dotted-quad helpers below accept
+either form.
 """
 
 from __future__ import annotations
@@ -20,33 +25,57 @@ import ipaddress
 from ..errors import DnsError
 
 __all__ = [
-    "split_ip", "prefix_query_name", "ip_query_name",
+    "ip_to_int", "int_to_ip", "as_addr", "split_ip",
+    "prefix_query_name", "ip_query_name",
     "parse_ip_query_name", "parse_prefix_query_name",
     "bitmap_bit_for_ip", "bitmap_to_ipv6_bytes", "bitmap_from_ipv6_bytes",
     "bitmap_test", "bitmap_set", "hosts_in_bitmap",
 ]
 
 
-def split_ip(ip: str) -> tuple[int, int, int, int]:
-    """Validate and split a dotted quad."""
+def ip_to_int(ip: str) -> int:
+    """Validate a dotted quad and return it as a 32-bit int.
+
+    >>> ip_to_int("1.2.3.4")
+    16909060
+    """
     try:
-        packed = ipaddress.IPv4Address(ip).packed
+        return int(ipaddress.IPv4Address(ip))
     except ValueError as exc:
         raise DnsError(f"invalid IPv4 address {ip!r}") from exc
-    return packed[0], packed[1], packed[2], packed[3]
 
 
-def ip_query_name(ip: str, zone: str) -> str:
+def int_to_ip(n: int) -> str:
+    """The dotted quad of a 32-bit address (the inverse of :func:`ip_to_int`).
+
+    >>> int_to_ip(16909060)
+    '1.2.3.4'
+    """
+    return f"{n >> 24}.{(n >> 16) & 255}.{(n >> 8) & 255}.{n & 255}"
+
+
+def as_addr(ip: int | str) -> int:
+    """An address given as an int or a dotted quad, as an int."""
+    return ip if ip.__class__ is int else ip_to_int(ip)
+
+
+def split_ip(ip: str) -> tuple[int, int, int, int]:
+    """Validate and split a dotted quad."""
+    n = ip_to_int(ip)
+    return n >> 24, (n >> 16) & 255, (n >> 8) & 255, n & 255
+
+
+def ip_query_name(ip: int | str, zone: str) -> str:
     """Classic DNSBL query name: reversed octets under the zone.
 
     >>> ip_query_name("1.2.3.4", "bl.example")
     '4.3.2.1.bl.example'
     """
-    a, b, c, d = split_ip(ip)
-    return f"{d}.{c}.{b}.{a}.{zone}"
+    n = as_addr(ip)
+    return f"{n & 255}.{(n >> 8) & 255}.{(n >> 16) & 255}.{n >> 24}.{zone}"
 
 
-def prefix_query_name(ip: str, zone: str) -> str:
+def prefix_query_name(ip: int | str, zone: str) -> str:
     """DNSBLv6 query name: half-bit then reversed /24 octets (§7.1).
 
     >>> prefix_query_name("1.2.3.4", "bl.example")
@@ -54,9 +83,9 @@ def prefix_query_name(ip: str, zone: str) -> str:
     >>> prefix_query_name("1.2.3.200", "bl.example")
     '1.3.2.1.bl.example'
     """
-    a, b, c, d = split_ip(ip)
-    half = 0 if d < 128 else 1
-    return f"{half}.{c}.{b}.{a}.{zone}"
+    n = as_addr(ip)
+    return (f"{(n >> 7) & 1}.{(n >> 8) & 255}.{(n >> 16) & 255}."
+            f"{n >> 24}.{zone}")
 
 
 def _strip_zone(name: str, zone: str) -> list[str]:

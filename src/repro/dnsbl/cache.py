@@ -28,7 +28,7 @@ True
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..obs.contract import declare
 from ..obs.trace import active_registry, tracer
@@ -73,13 +73,17 @@ class TtlCache:
     True
     """
 
-    def __init__(self, ttl: float = 86_400.0, max_entries: int = 1_000_000):
+    def __init__(self, ttl: float = 86_400.0, max_entries: int = 1_000_000,
+                 key_name: Callable[[Any], str] = str):
         if ttl <= 0:
             raise ValueError(f"ttl must be positive, got {ttl!r}")
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.ttl = ttl
         self.max_entries = max_entries
+        # how ``dnsbl.drop`` events name a key (resolvers key on ints but
+        # record the dotted-quad / prefix text)
+        self.key_name = key_name
         self.stats = CacheStats()
         self._entries: OrderedDict[Any, tuple[float, Any]] = OrderedDict()
         reg = active_registry()
@@ -114,7 +118,8 @@ class TtlCache:
                 self._c_misses.inc()
             if self._rec is not None:
                 self._rec.emit("dnsbl.drop", now,
-                               attrs={"key": str(key), "reason": "expired"})
+                               attrs={"key": self.key_name(key),
+                                      "reason": "expired"})
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
@@ -141,7 +146,7 @@ class TtlCache:
                 self._c_evictions.inc()
             if self._rec is not None:
                 self._rec.emit("dnsbl.drop", now,
-                               attrs={"key": str(evicted),
+                               attrs={"key": self.key_name(evicted),
                                       "reason": "evicted"})
 
     def purge_expired(self, now: float) -> int:
@@ -152,7 +157,8 @@ class TtlCache:
             del self._entries[key]
             if self._rec is not None:
                 self._rec.emit("dnsbl.drop", now,
-                               attrs={"key": str(key), "reason": "expired"})
+                               attrs={"key": self.key_name(key),
+                                      "reason": "expired"})
         self.stats.expirations += len(expired)
         if expired and self._c_hits is not None:
             self._c_expirations.inc(len(expired))

@@ -9,10 +9,15 @@ server resolves the client IP against a blacklist.  Two strategies:
   whole /25, so a query for any neighbour is a hit (§7.1: "cache the bitmap
   for resolving subsequent queries for any IP in the same /25 prefix").
 
-Lookups go through the real DNS codec (query message → server → response
-message) so the wire behaviour matches what the asyncio UDP stack does; the
-remote's *latency* is drawn from a :class:`~repro.dnsbl.latency.LatencyModel`
-on cache misses.
+Every address is a 32-bit int (:mod:`repro.dnsbl.bitmap`): the per-IP key
+is the address and the prefix key is its /25, ``addr >> 7``.  A cache miss
+asks the server's zone directly (:meth:`DnsblServer.answer_code` /
+:meth:`~DnsblServer.answer_bitmap`) and counts as one DNS query; the wire
+codec is used only where there is a wire — :meth:`DnsblServer.handle_wire`
+behind the UDP server, and :class:`repro.net.dns.AsyncDnsblResolver`, which
+sends each strategy's :meth:`query` and reads the answer back with its
+:meth:`interpret`.  The remote's *latency* is drawn from a
+:class:`~repro.dnsbl.latency.LatencyModel` on cache misses.
 """
 
 from __future__ import annotations
@@ -24,76 +29,114 @@ from ..errors import DnsError
 from ..obs.contract import declare
 from ..obs.trace import active_registry, tracer
 from ..sim.random import RngStream
-from .bitmap import (bitmap_bit_for_ip, bitmap_test, ip_query_name,
-                     prefix_query_name, split_ip)
+from .bitmap import (as_addr, int_to_ip, ip_query_name, ip_to_int,
+                     prefix_query_name)
 from .cache import CacheStats, TtlCache
 from .latency import LatencyModel
 from .message import QTYPE_A, QTYPE_AAAA, RCODE_NOERROR, DnsMessage
 from .server import DnsblServer
+from .zone import ListingCode
 
 __all__ = ["LookupResult", "DnsblResolver", "DnsblBank", "IpStrategy",
-           "PrefixStrategy", "parallel_lookup"]
+           "PrefixStrategy", "STRATEGIES"]
 
 
 @dataclass(frozen=True)
 class LookupResult:
     """Outcome of one blacklist lookup."""
 
-    ip: str
+    addr: int                # the client address as a 32-bit int
     listed: bool
     cache_hit: bool
     latency: float           # seconds the lookup took (0 on cache hits)
     queried_name: str = ""   # DNS name queried on a miss
     queries_issued: int = 0  # actual DNS queries sent (0 on cache hits)
 
+    @property
+    def ip(self) -> str:
+        return int_to_ip(self.addr)
+
 
 class _Strategy(Protocol):
-    def cache_key(self, ip: str) -> object: ...
-    def query(self, ip: str, zone_origin: str) -> DnsMessage: ...
-    def interpret(self, ip: str, response: DnsMessage) -> object: ...
-    def is_listed(self, ip: str, cached_value: object) -> bool: ...
+    name: str
+    qtype: int
+    def cache_key(self, ip: int | str) -> int: ...
+    def key_text(self, key: int) -> str: ...
+    def query_name(self, ip: int, zone_origin: str) -> str: ...
+    def query(self, ip: int, zone_origin: str,
+              txid: int = 0) -> DnsMessage: ...
+    def answer(self, server: DnsblServer, ip: int) -> object: ...
+    def interpret(self, response: DnsMessage) -> object: ...
+    def is_listed(self, ip: int, cached_value: object) -> bool: ...
 
 
-class IpStrategy:
-    """Classic per-IP lookup; caches the listing code (or None)."""
+class _StrategyBase:
+    def query(self, ip: int, zone_origin: str, txid: int = 0) -> DnsMessage:
+        """The wire query a miss on ``ip`` sends."""
+        return DnsMessage.query(self.query_name(ip, zone_origin), self.qtype,
+                                txid=txid)
+
+
+class IpStrategy(_StrategyBase):
+    """Classic per-IP lookup; caches the answer address (or None)."""
 
     name = "ip"
+    qtype = QTYPE_A
+    query_name = staticmethod(ip_query_name)
 
-    def cache_key(self, ip: str) -> object:
-        return ip
+    def cache_key(self, ip: int | str) -> int:
+        return as_addr(ip)
 
-    def query(self, ip: str, zone_origin: str) -> DnsMessage:
-        return DnsMessage.query(ip_query_name(ip, zone_origin), QTYPE_A)
+    def key_text(self, key: int) -> str:
+        """The key's recorder name: the dotted quad."""
+        return int_to_ip(key)
 
-    def interpret(self, ip: str, response: DnsMessage) -> object:
+    def answer(self, server: DnsblServer, ip: int) -> Optional[str]:
+        """The value a wire answer would carry, asked of the zone."""
+        code = server.answer_code(ip)
+        return None if code is None else ListingCode.answer_ip(code)
+
+    def interpret(self, response: DnsMessage) -> Optional[str]:
+        """The value a decoded wire answer carries."""
         if response.rcode != RCODE_NOERROR or not response.answers:
             return None
         return response.answers[0].a_address
 
-    def is_listed(self, ip: str, cached_value: object) -> bool:
+    def is_listed(self, ip: int, cached_value: object) -> bool:
         return cached_value is not None
 
 
-class PrefixStrategy:
+class PrefixStrategy(_StrategyBase):
     """DNSBLv6 /25-bitmap lookup; caches the whole bitmap."""
 
     name = "prefix"
+    qtype = QTYPE_AAAA
+    query_name = staticmethod(prefix_query_name)
 
-    def cache_key(self, ip: str) -> object:
-        a, b, c, d = split_ip(ip)
-        return (f"{a}.{b}.{c}", 0 if d < 128 else 1)
+    def cache_key(self, ip: int | str) -> int:
+        return as_addr(ip) >> 7
 
-    def query(self, ip: str, zone_origin: str) -> DnsMessage:
-        return DnsMessage.query(prefix_query_name(ip, zone_origin),
-                                QTYPE_AAAA)
+    def key_text(self, key: int) -> str:
+        """The key's recorder name: ``('x.y.z', half)``, as a tuple prints."""
+        return (f"('{key >> 17}.{(key >> 9) & 255}.{(key >> 1) & 255}', "
+                f"{key & 1})")
 
-    def interpret(self, ip: str, response: DnsMessage) -> object:
+    def answer(self, server: DnsblServer, ip: int) -> int:
+        """The value a wire answer would carry, asked of the zone."""
+        return server.answer_bitmap(ip >> 7)
+
+    def interpret(self, response: DnsMessage) -> int:
+        """The value a decoded wire answer carries."""
         if response.rcode != RCODE_NOERROR or not response.answers:
             return 0
         return response.answers[0].aaaa_bits
 
-    def is_listed(self, ip: str, cached_value: object) -> bool:
-        return bitmap_test(int(cached_value), bitmap_bit_for_ip(ip))
+    def is_listed(self, ip: int, cached_value: object) -> bool:
+        return bool((cached_value >> (127 - (ip & 127))) & 1)
+
+
+#: strategy classes by configuration name
+STRATEGIES = {"ip": IpStrategy, "prefix": PrefixStrategy}
 
 
 class DnsblResolver:
@@ -105,7 +148,7 @@ class DnsblResolver:
                  rng: Optional[RngStream] = None):
         self.server = server
         self.strategy = strategy
-        self.cache = TtlCache(ttl=ttl)
+        self.cache = TtlCache(ttl=ttl, key_name=strategy.key_text)
         self.latency_model = latency_model
         self.rng = rng or RngStream(7)
         self.queries_sent = 0
@@ -121,10 +164,15 @@ class DnsblResolver:
             self._c_prefix_fills = None
         tr = tracer()
         self._rec = tr.recorder if tr.enabled else None
+        self._key_names: dict[int, str] = {}
 
-    def _event_key(self, key: object) -> str:
+    def _event_key(self, key: int) -> str:
         """The flight-recorder cache-line name: zone-qualified and stable."""
-        return f"{self.server.zone.origin}/{key}"
+        name = self._key_names.get(key)
+        if name is None:
+            name = self._key_names[key] = (
+                f"{self.server.zone.origin}/{self.strategy.key_text(key)}")
+        return name
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -135,57 +183,57 @@ class DnsblResolver:
         """Fraction of lookups that actually hit the network (Fig. 15)."""
         return self.queries_sent / self.lookups if self.lookups else 0.0
 
-    def lookup(self, ip: str, now: float) -> LookupResult:
+    def lookup(self, ip: int | str, now: float) -> LookupResult:
         """Resolve the blacklist status of ``ip`` at (simulated) time ``now``.
 
+        ``ip`` is a 32-bit int or a dotted quad (parsed here, once).
         Cached values are wrapped in :class:`_Cached` so that cached
         *negative* answers (``None`` codes / all-zero bitmaps) are
         distinguishable from cache misses — negative caching matters: most
         lookups against a blacklist come back clean.
         """
+        if ip.__class__ is not int:
+            ip = ip_to_int(ip)
         self.lookups += 1
-        key = self.strategy.cache_key(ip)
+        strategy = self.strategy
+        key = strategy.cache_key(ip)
         cached = self.cache.get(key, now)
         if cached is not None:
-            listed = self.strategy.is_listed(ip, cached.value)
+            listed = strategy.is_listed(ip, cached.value)
             if self._rec is not None:
                 self._rec.emit("dnsbl.lookup", now,
-                               attrs={"ip": ip, "key": self._event_key(key),
+                               attrs={"ip": int_to_ip(ip),
+                                      "key": self._event_key(key),
                                       "hit": True, "listed": listed})
-            return LookupResult(ip=ip, listed=listed,
-                                cache_hit=True, latency=0.0)
-        query = self.strategy.query(ip, self.server.zone.origin)
+            return LookupResult(ip, listed, True, 0.0)
         self.queries_sent += 1
         if self._c_wire is not None:
             self._c_wire.inc()
             if self._c_prefix_fills is not None:
-                # one wire miss fills the whole /25 bitmap into the cache
+                # one miss fills the whole /25 bitmap into the cache
                 self._c_prefix_fills.inc()
-        # Round-trip through the wire codec for fidelity with the UDP stack.
-        response = DnsMessage.decode(self.server.handle_wire(query.encode()))
-        value = self.strategy.interpret(ip, response)
+        value = strategy.answer(self.server, ip)
         self.cache.put(key, _Cached(value), now)
         latency = (self.latency_model.sample(self.rng)
                    if self.latency_model else 0.0)
-        listed = self.strategy.is_listed(ip, value)
+        listed = strategy.is_listed(ip, value)
         if self._rec is not None:
             event_key = self._event_key(key)
             # the fill carries the authoritative value so the coherence
             # watchdog can re-derive every later cache hit's verdict
             # prefix caches the whole /25 bitmap; other strategies cache a
             # listing code, flattened here to its 0/1 listed meaning
-            authoritative = (int(value) if self.strategy.name == "prefix"
+            authoritative = (int(value) if strategy.name == "prefix"
                              else int(listed))
             self._rec.emit("dnsbl.fill", now,
                            attrs={"key": event_key, "value": authoritative,
-                                  "strategy": self.strategy.name})
+                                  "strategy": strategy.name})
             self._rec.emit("dnsbl.lookup", now,
-                           attrs={"ip": ip, "key": event_key,
+                           attrs={"ip": int_to_ip(ip), "key": event_key,
                                   "hit": False, "listed": listed})
-        return LookupResult(ip=ip, listed=listed,
-                            cache_hit=False, latency=latency,
-                            queried_name=query.questions[0].name,
-                            queries_issued=1)
+        return LookupResult(ip, listed, False, latency,
+                            strategy.query_name(ip, self.server.zone.origin),
+                            1)
 
 
 class _Cached:
@@ -226,33 +274,20 @@ class DnsblBank:
         fractions = [r.query_fraction for r in self.resolvers]
         return sum(fractions) / len(fractions)
 
-    def lookup(self, ip: str, now: float) -> LookupResult:
+    def lookup(self, ip: int | str, now: float) -> LookupResult:
         """Check ``ip`` against every provider; aggregate the result.
 
         ``cache_hit`` is True only when *all* providers answered from
         cache; ``latency`` is the slowest provider's (parallel queries).
         """
+        if ip.__class__ is not int:
+            ip = ip_to_int(ip)
         results = [r.lookup(ip, now) for r in self.resolvers]
         return LookupResult(
-            ip=ip,
+            addr=ip,
             listed=any(r.listed for r in results),
             cache_hit=all(r.cache_hit for r in results),
             latency=max(r.latency for r in results),
             queried_name=next((r.queried_name for r in results
                                if r.queried_name), ""),
             queries_issued=sum(r.queries_issued for r in results))
-
-
-def parallel_lookup(resolvers: list[DnsblResolver], ip: str,
-                    now: float) -> tuple[bool, float]:
-    """Query several DNSBLs "simultaneously" for one IP (paper footnote 2).
-
-    Returns ``(listed_by_any, latency)`` where latency is the *maximum* of
-    the individual lookups — concurrent queries complete when the slowest
-    answer arrives.
-    """
-    if not resolvers:
-        raise DnsError("parallel_lookup needs at least one resolver")
-    results = [r.lookup(ip, now) for r in resolvers]
-    return (any(r.listed for r in results),
-            max(r.latency for r in results))

@@ -8,10 +8,14 @@
   a 128-bit /25 bitmap (one bit per neighbouring address).
 
 The class is transport-free (bytes/messages in → messages out); the UDP
-wrapper lives in :mod:`repro.net.dns`.
+wrapper lives in :mod:`repro.net.dns`.  The simulated resolver skips the
+codec: :meth:`DnsblServer.answer_code` and :meth:`DnsblServer.answer_bitmap`
+give what the wire answer would carry, counted as the same query.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from ..errors import DnsError
 from .bitmap import (bitmap_to_ipv6_bytes, parse_ip_query_name,
@@ -59,6 +63,25 @@ class DnsblServer:
             return DnsMessage(is_response=True,
                               rcode=RCODE_SERVFAIL).encode()
         return self.handle_message(query).encode()
+
+    # -- direct (no codec) ---------------------------------------------------
+    def answer_code(self, addr: int) -> Optional[int]:
+        """The code an A query for ``addr`` answers (None: NXDOMAIN)."""
+        self.queries_served += 1
+        self.ip_queries += 1
+        return self.zone.code.get(addr)
+
+    def answer_bitmap(self, prefix_key: int) -> int:
+        """The bitmap an AAAA query for the /25 ``prefix_key`` answers.
+
+        0 when prefix queries are disabled: the wire answer is then
+        NXDOMAIN, which a resolver reads as a clean /25.
+        """
+        self.queries_served += 1
+        if not self.enable_prefix_queries:
+            return 0
+        self.prefix_queries += 1
+        return self.zone.bitmap.get(prefix_key, 0)
 
     # -- internals -----------------------------------------------------------
     def _answer_ip(self, query: DnsMessage, name: str) -> DnsMessage:

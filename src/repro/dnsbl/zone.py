@@ -4,6 +4,11 @@ A zone is the set of blacklisted IPv4 addresses, each with a *listing code*
 — the ``127.0.0.x`` answer address whose last octet encodes "the form of
 spamming activity done by the corresponding IP" (§4.3).  The zone also
 serves /25 bitmaps for the DNSBLv6 scheme.
+
+Both tables are keyed on 32-bit addresses: :attr:`DnsblZone.code` maps an
+address to its listing code and :attr:`DnsblZone.bitmap` maps a /25 key
+(``addr >> 7``) to its 128-bit bitmap, bit ``addr & 127`` counted from the
+MSB (§7.1).  The string methods validate and parse at the boundary.
 """
 
 from __future__ import annotations
@@ -11,9 +16,17 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..errors import DnsError
-from .bitmap import bitmap_set, split_ip
+from .bitmap import int_to_ip, ip_to_int
 
 __all__ = ["ListingCode", "DnsblZone"]
+
+
+def _addr_or_none(ip: str) -> Optional[int]:
+    """``ip`` as an int, or None when it is no address (so never listed)."""
+    try:
+        return ip_to_int(ip)
+    except DnsError:
+        return None
 
 
 class ListingCode:
@@ -38,51 +51,63 @@ class DnsblZone:
                  default_code: int = ListingCode.EXPLOITED):
         if not origin or origin.startswith("."):
             raise DnsError(f"invalid zone origin {origin!r}")
+        ListingCode.answer_ip(default_code)
         self.origin = origin.rstrip(".")
         self.default_code = default_code
-        self._entries: dict[str, int] = {}
-        self._bitmaps: dict[tuple[str, int], int] = {}
+        self.code: dict[int, int] = {}
+        self.bitmap: dict[int, int] = {}
         for ip in entries or ():
-            self.add(ip)
+            self._list(ip_to_int(ip), default_code)
+
+    def with_origin(self, origin: str) -> "DnsblZone":
+        """The same listings served under another origin.
+
+        The new zone shares this zone's tables, so neither may be mutated
+        afterwards; a provider bank builds its listings once this way.
+        """
+        zone = DnsblZone(origin, default_code=self.default_code)
+        zone.code = self.code
+        zone.bitmap = self.bitmap
+        return zone
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.code)
 
     def __contains__(self, ip: str) -> bool:
-        return ip in self._entries
+        return _addr_or_none(ip) in self.code
 
     def add(self, ip: str, code: Optional[int] = None) -> None:
         """Blacklist ``ip`` with a listing code."""
-        a, b, c, d = split_ip(ip)
-        self._entries[ip] = code if code is not None else self.default_code
-        key = (f"{a}.{b}.{c}", 0 if d < 128 else 1)
-        self._bitmaps[key] = bitmap_set(self._bitmaps.get(key, 0), d % 128)
+        code = self.default_code if code is None else code
+        ListingCode.answer_ip(code)
+        self._list(ip_to_int(ip), code)
+
+    def _list(self, n: int, code: int) -> None:
+        self.code[n] = code
+        key = n >> 7
+        self.bitmap[key] = self.bitmap.get(key, 0) | (1 << (127 - (n & 127)))
 
     def remove(self, ip: str) -> None:
         """Delist ``ip``; missing entries are ignored (delisting is lazy)."""
-        if ip not in self._entries:
+        n = _addr_or_none(ip)
+        if self.code.pop(n, None) is None:
             return
-        a, b, c, d = split_ip(ip)
-        del self._entries[ip]
-        key = (f"{a}.{b}.{c}", 0 if d < 128 else 1)
-        bit = 1 << (127 - (d % 128))
-        remaining = self._bitmaps.get(key, 0) & ~bit
+        key = n >> 7
+        remaining = self.bitmap.get(key, 0) & ~(1 << (127 - (n & 127)))
         if remaining:
-            self._bitmaps[key] = remaining
+            self.bitmap[key] = remaining
         else:
-            self._bitmaps.pop(key, None)
+            self.bitmap.pop(key, None)
 
     def lookup_ip(self, ip: str) -> Optional[int]:
         """The listing code for ``ip``, or ``None`` when not listed."""
-        split_ip(ip)  # validate even for negative answers
-        return self._entries.get(ip)
+        return self.code.get(ip_to_int(ip))
 
     def lookup_bitmap(self, prefix: str, half: int) -> int:
         """The 128-bit /25 bitmap for ``(prefix, half)`` (0 when clean)."""
         if half not in (0, 1):
             raise DnsError(f"half must be 0 or 1, got {half!r}")
-        split_ip(prefix + ".0")
-        return self._bitmaps.get((prefix, half), 0)
+        return self.bitmap.get((ip_to_int(prefix + ".0") >> 7) | half, 0)
 
     def listed_ips(self) -> list[str]:
-        return sorted(self._entries)
+        return sorted(int_to_ip(n) for n in self.code)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from ..clients import run_closed_timed, run_open
 from ..core import build_spamaware, build_vanilla, make_dnsbl_bank
 from ..dnsbl.latency import PROVIDERS
-from ..dnsbl.resolver import DnsblResolver, IpStrategy, PrefixStrategy
+from ..dnsbl.resolver import STRATEGIES, DnsblResolver
 from ..dnsbl.server import DnsblServer
 from ..dnsbl.zone import DnsblZone
 from ..server import MailServerSim, ServerConfig
@@ -546,16 +546,16 @@ class Figure15(Experiment):
             n_full=SinkholeConfig().n_connections)
         zone_ips = BotnetModel.zone_ips(prefixes)
         model = PROVIDERS["cbl.abuseat.org"]
+        zone = DnsblZone("cbl.abuseat.org", zone_ips)
         stats = {}
-        for name, strategy in (("ip", IpStrategy()),
-                               ("prefix", PrefixStrategy())):
-            zone = DnsblZone("cbl.abuseat.org", zone_ips)
-            resolver = DnsblResolver(DnsblServer(zone), strategy,
+        for name, strategy in STRATEGIES.items():
+            resolver = DnsblResolver(DnsblServer(zone), strategy(),
                                      latency_model=model,
                                      rng=RngStream(15))
             latencies = Cdf()
             for conn in trace:
-                latencies.add(resolver.lookup(conn.client_ip, conn.t).latency)
+                latencies.add(resolver.lookup(conn.client_addr,
+                                              conn.t).latency)
             hit = resolver.cache_stats.hit_ratio
             qfrac = resolver.query_fraction
             stats[name] = (hit, qfrac)

@@ -11,10 +11,10 @@ import asyncio
 import itertools
 from typing import Optional
 
-from ..dnsbl.bitmap import (bitmap_bit_for_ip, bitmap_test, ip_query_name,
-                            prefix_query_name, split_ip)
+from ..dnsbl.bitmap import ip_to_int
 from ..dnsbl.cache import TtlCache
-from ..dnsbl.message import (QTYPE_A, QTYPE_AAAA, RCODE_NOERROR, DnsMessage)
+from ..dnsbl.message import DnsMessage
+from ..dnsbl.resolver import STRATEGIES
 from ..dnsbl.server import DnsblServer
 from ..errors import DnsError
 
@@ -69,7 +69,10 @@ class AsyncDnsblResolver:
     """Async caching DNSBL client speaking wire-format DNS over UDP.
 
     ``strategy`` is ``"ip"`` (classic A queries) or ``"prefix"`` (DNSBLv6
-    AAAA bitmap queries, cached per /25).
+    AAAA bitmap queries, cached per /25); the named
+    :class:`~repro.dnsbl.resolver.IpStrategy` or
+    :class:`~repro.dnsbl.resolver.PrefixStrategy` supplies the cache key,
+    the query and the verdict, as it does for the simulated resolver.
     """
 
     class _Protocol(asyncio.DatagramProtocol):
@@ -92,12 +95,12 @@ class AsyncDnsblResolver:
     def __init__(self, server_addr: tuple[str, int], zone: str,
                  strategy: str = "prefix", ttl: float = 86_400.0,
                  timeout: float = 2.0):
-        if strategy not in ("ip", "prefix"):
+        if strategy not in STRATEGIES:
             raise DnsError(f"unknown strategy {strategy!r}")
         self.server_addr = server_addr
         self.zone = zone
-        self.strategy = strategy
-        self.cache = TtlCache(ttl=ttl)
+        self.strategy = STRATEGIES[strategy]()
+        self.cache = TtlCache(ttl=ttl, key_name=self.strategy.key_text)
         self.timeout = timeout
         self.queries_sent = 0
         self.lookups = 0
@@ -116,55 +119,30 @@ class AsyncDnsblResolver:
             self._protocol.transport.close()
             self._protocol = None
 
-    def _cache_key(self, ip: str):
-        if self.strategy == "ip":
-            return ip
-        a, b, c, d = split_ip(ip)
-        return (f"{a}.{b}.{c}", 0 if d < 128 else 1)
-
     async def is_listed(self, ip: str) -> bool:
         """Resolve the blacklist status of ``ip`` (cached)."""
         loop = asyncio.get_event_loop()
+        strategy = self.strategy
+        addr = ip_to_int(ip)
         self.lookups += 1
-        key = self._cache_key(ip)
+        key = strategy.cache_key(addr)
         cached = self.cache.get(key, loop.time())
         if cached is not None:
-            return self._interpret_cached(ip, cached)
+            return strategy.is_listed(addr, cached[1])
 
         protocol = await self._ensure_socket()
-        txid = next(self._txids) & 0xFFFF
-        if self.strategy == "ip":
-            query = DnsMessage.query(ip_query_name(ip, self.zone), QTYPE_A,
-                                     txid=txid)
-        else:
-            query = DnsMessage.query(prefix_query_name(ip, self.zone),
-                                     QTYPE_AAAA, txid=txid)
+        query = strategy.query(addr, self.zone,
+                               txid=next(self._txids) & 0xFFFF)
         future: asyncio.Future = loop.create_future()
-        protocol.pending[txid] = future
+        protocol.pending[query.txid] = future
         protocol.transport.sendto(query.encode())
         self.queries_sent += 1
         try:
             response = await asyncio.wait_for(future, self.timeout)
         except asyncio.TimeoutError:
-            protocol.pending.pop(txid, None)
+            protocol.pending.pop(query.txid, None)
             raise DnsError(f"DNSBL query for {ip} timed out")
 
-        if self.strategy == "ip":
-            value = (response.answers[0].a_address
-                     if response.rcode == RCODE_NOERROR and response.answers
-                     else None)
-        else:
-            value = (response.answers[0].aaaa_bits
-                     if response.rcode == RCODE_NOERROR and response.answers
-                     else 0)
+        value = strategy.interpret(response)
         self.cache.put(key, ("v", value), loop.time())
-        return self._listed(ip, value)
-
-    def _interpret_cached(self, ip: str, cached) -> bool:
-        _, value = cached
-        return self._listed(ip, value)
-
-    def _listed(self, ip: str, value) -> bool:
-        if self.strategy == "ip":
-            return value is not None
-        return bitmap_test(int(value), bitmap_bit_for_ip(ip))
+        return strategy.is_listed(addr, value)

@@ -73,8 +73,8 @@ SPANS: dict[str, SpanSpec] = {
         "recipient, a bounce, or an unfinished/rejected end.",
         attrs=("mode", "outcome")),   # mode: event | process
     "dnsbl": SpanSpec(
-        "One blacklist check at connect time, including the wire wait on "
-        "a cache miss.",
+        "One blacklist check at connect time, including the wait for the "
+        "DNS answer on a cache miss.",
         attrs=("cache_hit", "listed")),
     "fork": SpanSpec(
         "The master forking a fresh smtpd worker (vanilla architecture "
@@ -120,10 +120,10 @@ EVENTS: dict[str, EventSpec] = {
         "The envelope phase ended (trusted sessions continue into DATA).",
         attrs=("mode", "outcome")),
     "dnsbl.lookup": EventSpec(
-        "One provider resolved a client IP (cache hit or wire query).",
+        "One provider resolved a client IP (cache hit or DNS query).",
         attrs=("ip", "key", "hit", "listed")),
     "dnsbl.fill": EventSpec(
-        "A wire miss filled the cache: the authoritative value now cached "
+        "A cache miss filled the cache: the authoritative value now cached "
         "under ``key`` (an int bitmap for the prefix strategy, 0/1 for ip).",
         attrs=("key", "value", "strategy")),
     "dnsbl.drop": EventSpec(
@@ -215,7 +215,7 @@ METRICS: dict[str, MetricSpec] = {
     "server.dnsbl.lookups": MetricSpec(
         "counter", "count", "Blacklist checks performed."),
     "server.dnsbl.queries": MetricSpec(
-        "counter", "count", "Checks that missed cache and hit the wire."),
+        "counter", "count", "Checks that missed cache and queried a DNSBL."),
     "server.dnsbl.rejects": MetricSpec(
         "counter", "count", "Connections rejected as blacklisted."),
     "server.run.seconds": MetricSpec(
@@ -260,7 +260,9 @@ METRICS: dict[str, MetricSpec] = {
         "Cache fills of a /25 bitmap — one fill covers 128 neighbours "
         "(7.1), the mechanism behind the prefix strategy's hit rate."),
     "dnsbl.wire.queries": MetricSpec(
-        "counter", "count", "DNS queries actually sent by resolvers."),
+        "counter", "count",
+        "DNS queries resolvers issued on cache misses (simulated queries "
+        "in the simulator, not encoded packets)."),
     # -- MFS store (capture-level; real-filesystem path) --------------------
     "mfs.deliver.single": MetricSpec(
         "counter", "count", "Single-recipient deliveries (private mailbox)."),

@@ -1,10 +1,10 @@
 """I/O plans: what each storage backend does per delivery, for the simulator.
 
 The simulator must charge the disk exactly what the real backends would do.
-These planners mirror the real implementations operation-for-operation (a
-unit test in ``tests/test_storage_plans.py`` asserts the equivalence against
-actual deliveries), assuming the steady state where destination mailboxes
-already exist.
+These planners mirror the real implementations operation-for-operation
+(``TestPlanEquivalence`` in ``tests/test_storage.py`` asserts the equivalence
+against actual deliveries), assuming the steady state where destination
+mailboxes already exist.
 """
 
 from __future__ import annotations

@@ -452,7 +452,7 @@ class MailServerSim:
         # DNS cache emulation (§7.2): the paper replays the two-month trace
         # and emulates cache contents at *trace* time, not replay time
         clock = conn.t if self.config.dnsbl_use_trace_time else self.sim.now
-        result = self.resolver.lookup(conn.client_ip, clock)
+        result = self.resolver.lookup(conn.client_addr, clock)
         self.metrics.dnsbl_lookups += 1
         self.metrics.observe_lookup(result.latency)
         if not result.cache_hit:

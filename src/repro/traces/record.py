@@ -84,7 +84,9 @@ class Connection:
     """One inbound SMTP connection.
 
     ``unfinished`` connections perform the handshake and quit without
-    attempting any mail (§4.1's second rogue class).
+    attempting any mail (§4.1's second rogue class).  ``client_addr`` is
+    ``client_ip`` as a 32-bit int, parsed once here; the DNSBL lookups
+    key on it.
     """
 
     t: float
@@ -92,6 +94,7 @@ class Connection:
     mails: list[MailAttempt] = field(default_factory=list)
     unfinished: bool = False
     helo: str = "client.example"
+    client_addr: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.unfinished and self.mails:
@@ -99,7 +102,7 @@ class Connection:
         if not self.unfinished and not self.mails:
             raise TraceError("a finished connection must carry >= 1 mail")
         # validate the IP eagerly; everything downstream assumes dotted quad
-        ipaddress.IPv4Address(self.client_ip)
+        self.client_addr = int(ipaddress.IPv4Address(self.client_ip))
 
     @property
     def is_bounce(self) -> bool:

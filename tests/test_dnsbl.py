@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dnsbl import (DnsMessage, DnsblBank, DnsblResolver, DnsblServer,
-                         DnsblZone, IpStrategy, ListingCode, PROVIDERS,
-                         PrefixStrategy, QTYPE_A, QTYPE_AAAA,
+from repro.core import make_dnsbl_bank
+from repro.dnsbl import (STRATEGIES, DnsMessage, DnsblBank, DnsblResolver,
+                         DnsblServer, DnsblZone, IpStrategy, ListingCode,
+                         PROVIDERS, PrefixStrategy, QTYPE_A, QTYPE_AAAA,
                          RCODE_NXDOMAIN, RCODE_NOERROR, Question,
                          ResourceRecord, TtlCache, bitmap_bit_for_ip,
                          bitmap_from_ipv6_bytes, bitmap_set, bitmap_test,
                          bitmap_to_ipv6_bytes, decode_name, encode_name,
-                         hosts_in_bitmap, ip_query_name,
-                         parse_ip_query_name, parse_prefix_query_name,
-                         parallel_lookup, prefix_query_name)
+                         hosts_in_bitmap, int_to_ip, ip_query_name,
+                         ip_to_int, parse_ip_query_name,
+                         parse_prefix_query_name, prefix_query_name)
 from repro.errors import DnsError
+from repro.obs import capture
 from repro.sim.random import RngStream
 
 
@@ -269,19 +271,140 @@ class TestResolvers:
         assert again.cache_hit and again.queries_issued == 0
         assert bank.queries_sent == 2
 
-    def test_parallel_lookup_latency_is_max(self):
-        a = DnsblResolver(DnsblServer(DnsblZone("a.x", ["1.1.1.1"])),
-                          IpStrategy(),
-                          latency_model=PROVIDERS["cbl.abuseat.org"],
-                          rng=RngStream(3))
-        b = DnsblResolver(DnsblServer(DnsblZone("b.x")), IpStrategy(),
-                          latency_model=PROVIDERS["dul.dnsbl.sorbs.net"],
-                          rng=RngStream(4))
-        listed, latency = parallel_lookup([a, b], "1.1.1.1", 0.0)
-        assert listed
-        assert latency >= max(r.cache.peek is not None and 0 or 0
-                              for r in (a, b))  # latency is a real float
-        assert latency > 0
+    def test_bank_latency_is_max_of_provider_draws(self):
+        models = (PROVIDERS["cbl.abuseat.org"],
+                  PROVIDERS["dul.dnsbl.sorbs.net"])
+        bank = DnsblBank([
+            DnsblResolver(DnsblServer(DnsblZone("a.x", ["1.1.1.1"])),
+                          IpStrategy(), latency_model=models[0],
+                          rng=RngStream(3)),
+            DnsblResolver(DnsblServer(DnsblZone("b.x", ["2.2.2.2"])),
+                          IpStrategy(), latency_model=models[1],
+                          rng=RngStream(4))])
+        rngs = (RngStream(3), RngStream(4))
+        winners = set()
+        for ip in ("1.1.1.1", "2.2.2.2", "3.3.3.3", "4.4.4.4", "5.5.5.5"):
+            draws = [model.sample(rng) for model, rng in zip(models, rngs)]
+            result = bank.lookup(ip, 0.0)
+            assert result.latency == max(draws)
+            winners.add(draws.index(max(draws)))
+            verdicts = [r.lookup(ip, 1.0).listed for r in bank.resolvers]
+            assert result.listed == any(verdicts)
+            assert result.listed == (ip in ("1.1.1.1", "2.2.2.2"))
+        assert winners == {0, 1}   # each provider is the slowest at least once
+
+
+# addresses near a few /24s, so zones and queries share /25s and the
+# .127/.128 half boundary comes up often
+_BASES = st.sampled_from([0x0A000000, 0xC0A80100, 0xD3D17900])
+_NEAR = st.builds(int.__or__, _BASES, st.integers(0, 255))
+_EDGE = st.builds(int.__or__, _BASES, st.sampled_from([0, 127, 128, 255]))
+_ANY = st.integers(0, 2**32 - 1)
+
+
+def _server_counters(server):
+    return (server.queries_served, server.ip_queries, server.prefix_queries)
+
+
+class TestWireDirectEquivalence:
+    """The simulated resolver answers misses from the zone; the UDP stack
+    sends the strategy's query through ``DnsblServer.handle_wire`` and
+    reads the answer with ``interpret``.  Both must agree."""
+
+    @given(listings=st.dictionaries(_NEAR, st.integers(1, 255), max_size=24),
+           queries=st.lists(st.one_of(_NEAR, _EDGE, _ANY), min_size=1,
+                            max_size=40),
+           name=st.sampled_from(sorted(STRATEGIES)),
+           prefix_on=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_direct_path_matches_wire_round_trip(self, listings, queries,
+                                                 name, prefix_on):
+        zone = DnsblZone("bl.example")
+        for addr, code in listings.items():
+            zone.add(int_to_ip(addr), code=code)
+        direct_server = DnsblServer(zone, enable_prefix_queries=prefix_on)
+        wire_server = DnsblServer(zone, enable_prefix_queries=prefix_on)
+        strategy = STRATEGIES[name]()
+        resolver = DnsblResolver(direct_server, strategy)
+        wire_cache = {}
+        for addr in queries:
+            key = strategy.cache_key(addr)
+            hit = key in wire_cache
+            queried_name = ""
+            if not hit:
+                query = strategy.query(addr, zone.origin)
+                answer = DnsMessage.decode(
+                    wire_server.handle_wire(query.encode()))
+                wire_cache[key] = strategy.interpret(answer)
+                queried_name = query.questions[0].name
+            wire_listed = strategy.is_listed(addr, wire_cache[key])
+
+            result = resolver.lookup(addr, 0.0)
+            assert result.cache_hit == hit
+            assert result.listed == wire_listed
+            assert result.queried_name == queried_name
+            assert resolver.cache.peek(key, 0.0).value == wire_cache[key]
+            assert (_server_counters(direct_server)
+                    == _server_counters(wire_server))
+            # and both are right about the zone
+            expect = addr in listings and (name == "ip" or prefix_on)
+            assert result.listed == expect
+            if name == "ip" and expect:
+                assert wire_cache[key] == f"127.0.0.{listings[addr]}"
+
+    @given(addr=st.one_of(_NEAR, _EDGE, _ANY))
+    def test_string_and_int_callers_agree(self, addr):
+        ip = int_to_ip(addr)
+        assert ip_to_int(ip) == addr
+        for name in STRATEGIES:
+            by_int = make_resolver(STRATEGIES[name]()).lookup(addr, 0.0)
+            by_str = make_resolver(STRATEGIES[name]()).lookup(ip, 0.0)
+            assert by_int == by_str
+            assert by_int.ip == ip
+
+
+class TestRecorderKeys:
+    """``dnsbl.*`` events name cache lines by the dotted quad / ``(prefix,
+    half)`` text even though the caches key on ints."""
+
+    @staticmethod
+    def _keys(strategy):
+        with capture(record=True) as tr:
+            bank = make_dnsbl_bank({"211.209.121.48"}, strategy, ttl=10.0,
+                                   n_providers=1)
+            bank.lookup("211.209.121.48", 0.0)     # miss: fill
+            bank.lookup("211.209.121.20", 1.0)     # hit (prefix) / fill (ip)
+            bank.lookup("211.209.121.48", 20.0)    # expired: drop, refill
+        return [(r["kind"], r["attrs"].get("ip"), r["attrs"]["key"])
+                for r in tr.record_records()
+                if r.get("kind", "").startswith("dnsbl.")]
+
+    def test_ip_strategy_keys(self):
+        assert self._keys("ip") == [
+            ("dnsbl.fill", None, "cbl.abuseat.org/211.209.121.48"),
+            ("dnsbl.lookup", "211.209.121.48",
+             "cbl.abuseat.org/211.209.121.48"),
+            ("dnsbl.fill", None, "cbl.abuseat.org/211.209.121.20"),
+            ("dnsbl.lookup", "211.209.121.20",
+             "cbl.abuseat.org/211.209.121.20"),
+            ("dnsbl.drop", None, "211.209.121.48"),
+            ("dnsbl.fill", None, "cbl.abuseat.org/211.209.121.48"),
+            ("dnsbl.lookup", "211.209.121.48",
+             "cbl.abuseat.org/211.209.121.48"),
+        ]
+
+    def test_prefix_strategy_keys(self):
+        assert self._keys("prefix") == [
+            ("dnsbl.fill", None, "cbl.abuseat.org/('211.209.121', 0)"),
+            ("dnsbl.lookup", "211.209.121.48",
+             "cbl.abuseat.org/('211.209.121', 0)"),
+            ("dnsbl.lookup", "211.209.121.20",
+             "cbl.abuseat.org/('211.209.121', 0)"),
+            ("dnsbl.drop", None, "('211.209.121', 0)"),
+            ("dnsbl.fill", None, "cbl.abuseat.org/('211.209.121', 0)"),
+            ("dnsbl.lookup", "211.209.121.48",
+             "cbl.abuseat.org/('211.209.121', 0)"),
+        ]
 
 
 class TestLatencyModels:

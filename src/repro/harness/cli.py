@@ -23,6 +23,7 @@ from pathlib import Path
 
 from ..obs.diff import DEFAULT_CONTEXT, diff_report
 from ..obs.export import TraceFormatError, read_trace, write_trace
+from ..obs.flightrec import format_event
 from ..obs.invariants import violation_report
 from ..obs.report import trace_report
 from ..obs.timeseries import LiveDashboard, series_report
@@ -266,14 +267,7 @@ def main(argv=None) -> int:
             print(f"--- flight recorder: last {len(exc.recorder_tail)} "
                   "event(s) before the crash ---", file=sys.stderr)
             for record in exc.recorder_tail:
-                attrs = record.get("attrs") or {}
-                attr_text = " ".join(f"{k}={v}"
-                                     for k, v in sorted(attrs.items()))
-                print(f"  seq {record.get('seq'):>6} "
-                      f"t={record.get('t', 0.0):>10.4f} "
-                      f"run {record.get('run')} conn {record.get('conn')} "
-                      f"{record.get('kind'):<14} {attr_text}",
-                      file=sys.stderr)
+                print(f"  {format_event(record)}", file=sys.stderr)
         return 1
     if dashboard:
         dashboard.close()

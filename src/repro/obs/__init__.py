@@ -1,11 +1,12 @@
 """``repro.obs`` — the unified observability layer.
 
-A span-based tracer plus a typed metrics registry, threaded through every
-hot path of the reproduction: the DES kernel, the simulated mail server's
-connection lifecycle (accept → envelope → trust → fork/delegate → DATA →
-close), the MFS write/refcount paths, the DNSBL cache, and the asyncio
-server's task queues.  The set of spans and metrics that may ever be
-emitted is fixed by the contract in :mod:`repro.obs.contract` and
+A flight-recorder event stream, the spans derived from it, and a typed
+metrics registry, threaded through every hot path of the reproduction: the
+DES kernel, the simulated mail server's connection lifecycle (accept →
+envelope → trust → fork/delegate → DATA → close), the MFS write/refcount
+paths, the DNSBL cache, and the asyncio server's task queues.  The set of
+events and metrics that may ever be emitted is fixed by the contract in
+:mod:`repro.obs.contract` and
 documented name-for-name in ``docs/OBSERVABILITY.md`` (a test diffs the
 two).
 
@@ -21,8 +22,9 @@ enable it with :func:`capture` (or ``repro-experiments --trace OUT``):
 False
 >>> with capture(context={"exp": "demo"}) as tr:
 ...     run = tr.begin_run(arch="hybrid")
-...     tr.emit(run, conn=1, phase="envelope", t0=0.0, t1=1.5,
-...             attrs={"outcome": "trusted"})
+...     tr.recorder.emit("envelope.done", 1.5, run, conn=1,
+...                      attrs={"t0": 0.0, "mode": "event",
+...                             "outcome": "trusted"})
 ...     tr.span_count
 1
 >>> next(tr.records())["type"]
@@ -30,7 +32,7 @@ False
 """
 
 from .contract import (BENCH_FIELDS, EVENTS, INVARIANTS, METRICS,
-                       SERIES_FIELDS, SPANS, declare)
+                       SERIES_FIELDS, declare)
 from .critical_path import (CriticalPathAnalysis, analyze_critical_path,
                             critical_path_report)
 from .diff import Divergence, diff_records, diff_report
@@ -46,7 +48,7 @@ from .trace import (NULL_TRACER, NullTracer, Tracer, active_registry,
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "ObsError",
-    "METRICS", "SPANS", "EVENTS", "INVARIANTS", "SERIES_FIELDS",
+    "METRICS", "EVENTS", "INVARIANTS", "SERIES_FIELDS",
     "BENCH_FIELDS", "declare",
     "Tracer", "NullTracer", "NULL_TRACER", "tracer", "active_registry",
     "capture",

@@ -1,8 +1,9 @@
-"""The instrumentation contract: every span and metric the repo may emit.
+"""The instrumentation contract: every event and metric the repo may emit.
 
-This module is the machine-readable half of ``docs/OBSERVABILITY.md``.  A
-tracer refuses to emit a span whose phase is not declared here, metric
-registration helpers pull units and help strings from here, and
+This module is the machine-readable half of ``docs/OBSERVABILITY.md``.  The
+flight recorder refuses to emit an event kind that is not declared here,
+span phases are the ``span`` names of the closing events declared here,
+metric registration helpers pull units and help strings from here, and
 ``tests/test_obs.py`` diffs the tables in the doc against these dicts —
 so an instrument cannot be added, renamed or dropped without the
 documentation moving in lockstep.
@@ -17,25 +18,21 @@ from dataclasses import dataclass, field
 
 from .metrics import MetricsRegistry, ObsError
 
-__all__ = ["SpanSpec", "MetricSpec", "EventSpec", "InvariantSpec", "SPANS",
-           "METRICS", "EVENTS", "INVARIANTS", "SERIES_FIELDS",
-           "BENCH_FIELDS", "declare"]
-
-
-@dataclass(frozen=True)
-class SpanSpec:
-    """One span phase: its attribute names and what it covers."""
-
-    help: str
-    attrs: tuple[str, ...] = ()
+__all__ = ["MetricSpec", "EventSpec", "InvariantSpec", "METRICS", "EVENTS",
+           "INVARIANTS", "SERIES_FIELDS", "BENCH_FIELDS", "declare"]
 
 
 @dataclass(frozen=True)
 class EventSpec:
-    """One flight-recorder event kind: its attribute names and meaning."""
+    """One flight-recorder event kind: its attribute names and meaning.
+
+    A *closing* event ends the lifecycle phase ``span``: its span is
+    ``(t0, t)`` with every other attr as a span attr.
+    """
 
     help: str
     attrs: tuple[str, ...] = ()
+    span: str = ""
 
 
 @dataclass(frozen=True)
@@ -59,41 +56,6 @@ class MetricSpec:
     deterministic: bool = True
 
 
-#: Span phases over the simulated connection lifecycle.  Every span record
-#: carries ``(conn, phase, t0, t1, attrs)`` in simulated seconds plus the
-#: run id of the server that emitted it.
-SPANS: dict[str, SpanSpec] = {
-    "connection": SpanSpec(
-        "One SMTP connection, master accept to close.  Emitted when the "
-        "session finishes; in-flight sessions at the end of a run have no "
-        "span, matching the connections.finished counter exactly.",
-        attrs=("outcome",)),      # accepted | bounce | unfinished | rejected
-    "envelope": SpanSpec(
-        "Banner -> HELO -> (DNSBL) -> MAIL/RCPT until the first valid "
-        "recipient, a bounce, or an unfinished/rejected end.",
-        attrs=("mode", "outcome")),   # mode: event | process
-    "dnsbl": SpanSpec(
-        "One blacklist check at connect time, including the wait for the "
-        "DNS answer on a cache miss.",
-        attrs=("cache_hit", "listed")),
-    "fork": SpanSpec(
-        "The master forking a fresh smtpd worker (vanilla architecture "
-        "only; fork-after-trust reuses its long-lived pool)."),
-    "delegate": SpanSpec(
-        "Fork-after-trust handoff: delegation cost plus any blocking on "
-        "the bounded master->worker task socket (section 5.3).",
-        attrs=("queue_depth",)),
-    "data": SpanSpec(
-        "One DATA transaction: command, body transfer, queue-file write, "
-        "250 reply.  One span per accepted mail.",
-        attrs=("bytes",)),
-    "delivery": SpanSpec(
-        "Queue manager + local delivery of one accepted mail to all its "
-        "recipient mailboxes.",
-        attrs=("rcpts", "bytes")),
-}
-
-
 #: Flight-recorder event kinds (see :mod:`repro.obs.flightrec`).  Every
 #: event record carries ``(seq, t, run, conn, kind, attrs)``: ``seq`` is a
 #: per-capture monotonic counter, ``t`` is simulated seconds on the emitting
@@ -109,16 +71,26 @@ EVENTS: dict[str, EventSpec] = {
     "conn.open": EventSpec(
         "The master accepted a connection.", attrs=("ip",)),
     "conn.close": EventSpec(
-        "The session finished (same outcomes as the connection span).",
-        attrs=("outcome",)),    # accepted | bounce | unfinished | rejected
+        "The session finished; closes the connection span, master accept "
+        "to close.  In-flight sessions at the end of a run have no span, "
+        "matching the connections.finished counter exactly.",
+        attrs=("t0", "outcome"),    # accepted | bounce | unfinished | rejected
+        span="connection"),
     "smtp.mail": EventSpec(
         "MAIL FROM processed; the FSM entered a new envelope.",
         attrs=("rcpts",)),
     "smtp.rcpt": EventSpec(
         "RCPT TO answered (250 or bounce).", attrs=("valid",)),
     "envelope.done": EventSpec(
-        "The envelope phase ended (trusted sessions continue into DATA).",
-        attrs=("mode", "outcome")),
+        "The envelope phase ended: banner -> HELO -> (DNSBL) -> MAIL/RCPT "
+        "until the first valid recipient (trusted sessions continue into "
+        "DATA), a bounce, or an unfinished/rejected end.",
+        attrs=("t0", "mode", "outcome"),    # mode: event | process
+        span="envelope"),
+    "dnsbl.check": EventSpec(
+        "One blacklist check at connect time finished, including the wait "
+        "for the DNS answer on a cache miss.",
+        attrs=("t0", "cache_hit", "listed"), span="dnsbl"),
     "dnsbl.lookup": EventSpec(
         "One provider resolved a client IP (cache hit or DNS query).",
         attrs=("ip", "key", "hit", "listed")),
@@ -130,17 +102,22 @@ EVENTS: dict[str, EventSpec] = {
         "A cache entry was dropped (TTL expiry or LRU eviction).",
         attrs=("key", "reason")),
     "fork": EventSpec(
-        "The master forked a fresh smtpd (vanilla architecture).",
-        attrs=("pid",)),
+        "The master forked a fresh smtpd (vanilla architecture only; "
+        "fork-after-trust reuses its long-lived pool).",
+        attrs=("t0", "pid"), span="fork"),
     "delegate": EventSpec(
-        "Fork-after-trust handoff to a pooled worker (hybrid).",
-        attrs=("depth",)),
+        "Fork-after-trust handoff to a pooled worker (hybrid): delegation "
+        "cost plus any blocking on the bounded master->worker task socket "
+        "(section 5.3).",
+        attrs=("t0", "queue_depth"), span="delegate"),
     "data": EventSpec(
-        "DATA accepted and queued; one event per accepted mail.",
-        attrs=("bytes",)),
+        "One DATA transaction accepted and queued: command, body transfer, "
+        "queue-file write, 250 reply.  One event per accepted mail.",
+        attrs=("t0", "bytes"), span="data"),
     "delivery": EventSpec(
-        "One queued mail delivered to all its recipient mailboxes.",
-        attrs=("rcpts", "bytes")),
+        "Queue manager + local delivery of one accepted mail to all its "
+        "recipient mailboxes.",
+        attrs=("t0", "rcpts", "bytes"), span="delivery"),
     "mfs.open": EventSpec(
         "mail_open: a mailbox handle was created (real-filesystem MFS).",
         attrs=("mailbox",)),

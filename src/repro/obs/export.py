@@ -12,8 +12,9 @@ compressed output stays byte-deterministic too.
 
 Malformed input never surfaces as a traceback: :func:`read_trace` raises
 :class:`TraceFormatError` naming the file and 1-based line number of the
-first unparseable line, which the CLI report commands turn into a
-one-line error and a nonzero exit.
+first unparseable line — or of the first record whose ``type`` is unknown
+or that lacks a field the report commands index — which the CLI report
+commands turn into a one-line error and a nonzero exit.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ _JSON_CELLS = ("attrs", "metrics")
 _INT_CELLS = ("run", "conn", "version", "sim", "seq", "events", "dropped")
 _FLOAT_CELLS = ("t0", "t1", "t", "interval")
 
+#: record type -> the fields the report commands index on it
+_REQUIRED = {
+    "meta": (),
+    "run": ("run",),
+    "span": ("run", "conn", "phase", "t0", "t1"),
+    "metrics": ("run", "metrics"),
+    "sample": ("sim", "t", "run", "metrics"),
+    "event": ("seq", "t", "run", "conn", "kind"),
+}
+
 
 class TraceFormatError(Exception):
     """A trace file failed to parse; names the file and line."""
@@ -45,6 +56,19 @@ class TraceFormatError(Exception):
         self.path = str(path)
         self.line = line
         self.reason = reason
+
+
+def _check_fields(path: Path, line: int, record: dict) -> None:
+    """Reject a record of unknown type or missing an indexed field."""
+    rtype = record.get("type")
+    required = _REQUIRED.get(rtype) if isinstance(rtype, str) else None
+    if required is None:
+        raise TraceFormatError(path, line,
+                               f"unknown record type {rtype!r}")
+    missing = [name for name in required if name not in record]
+    if missing:
+        raise TraceFormatError(path, line, f"{rtype} record lacks "
+                               f"{', '.join(missing)}")
 
 
 def _effective_suffix(path: Path) -> str:
@@ -121,8 +145,8 @@ def read_trace(path: Union[str, Path]) -> list[dict]:
     """Read a trace written by :func:`write_trace` back into dicts.
 
     Raises :class:`TraceFormatError` (with the file and line number) on
-    the first truncated or non-JSON line, and :class:`OSError` when the
-    file cannot be opened at all.
+    the first truncated or non-JSON line or malformed record, and
+    :class:`OSError` when the file cannot be opened at all.
     """
     path = Path(path)
     if _effective_suffix(path) == ".csv":
@@ -150,6 +174,7 @@ def read_trace(path: Union[str, Path]) -> list[dict]:
             if not isinstance(record, dict):
                 raise TraceFormatError(path, lineno,
                                        "expected a JSON object per line")
+            _check_fields(path, lineno, record)
             records.append(record)
 
 
@@ -177,5 +202,6 @@ def _read_csv(path: Path) -> list[dict]:
                 reason = getattr(exc, "msg", str(exc))
                 raise TraceFormatError(path, lineno,
                                        f"bad {key!r} cell: {reason}")
+            _check_fields(path, lineno, record)
             records.append(record)
     return records

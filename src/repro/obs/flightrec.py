@@ -35,10 +35,13 @@ from typing import Callable, Iterator, Optional
 from .contract import EVENTS
 from .metrics import ObsError
 
-__all__ = ["FlightRecorder", "RECORD_VERSION", "event_as_dict"]
+__all__ = ["FlightRecorder", "RECORD_VERSION", "event_as_dict",
+           "format_event"]
 
 #: recording format version, stamped into every recording's meta record
-RECORD_VERSION = 1
+#: (2: closing events carry ``t0``, ``dnsbl.check`` added, the delegate
+#: event's ``depth`` renamed ``queue_depth``)
+RECORD_VERSION = 2
 
 #: default ring capacity when recording is watchdog-only
 DEFAULT_RING = 4096
@@ -54,6 +57,15 @@ def event_as_dict(event: tuple, context: Optional[dict] = None) -> dict:
     if context:
         record.update(context)
     return record
+
+
+def format_event(record: dict) -> str:
+    """One event record as a ``seq … t=… run … conn … kind attrs`` line."""
+    attrs = record.get("attrs") or {}
+    attr_text = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
+    return (f"seq {record.get('seq'):>6} t={record.get('t', 0.0):>10.4f} "
+            f"run {record.get('run')} conn {record.get('conn')} "
+            f"{record.get('kind'):<14} {attr_text}")
 
 
 class FlightRecorder:

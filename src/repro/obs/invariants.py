@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .contract import INVARIANTS
-from .flightrec import FlightRecorder, event_as_dict
+from .flightrec import FlightRecorder, event_as_dict, format_event
 from .metrics import ObsError
 
 __all__ = ["InvariantViolation", "InvariantEngine", "check_events",
@@ -340,13 +340,8 @@ def violation_report(violations: list[InvariantViolation]) -> str:
     for violation in violations:
         lines.append(f"  {violation}")
         for record in violation.context:
-            attrs = record.get("attrs") or {}
-            attr_text = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
             marker = (">" if violation.event is not None
                       and record.get("seq") == violation.event.get("seq")
                       else " ")
-            lines.append(f"    {marker} seq {record.get('seq'):>6} "
-                         f"t={record.get('t', 0.0):>10.4f} "
-                         f"run {record.get('run')} conn {record.get('conn')} "
-                         f"{record.get('kind'):<14} {attr_text}")
+            lines.append(f"    {marker} {format_event(record)}")
     return "\n".join(lines)

@@ -8,14 +8,20 @@ The DES kernel goes further — it publishes its counters once per
 ``Simulator.run`` call, never per event, so even an *enabled* tracer adds
 no per-event work.
 
+Instrumented code emits flight-recorder events only; the tracer derives
+each span ``(t0, t)`` from the closing event (an ``EVENTS`` entry with a
+``span`` phase) that ends it, which carries the phase's start as ``t0``.
+
 Enable tracing with the :func:`capture` context manager; the harness does
 this around each experiment for ``repro-experiments --trace``:
 
 >>> with capture(context={"exp": "demo"}) as tr:
 ...     run = tr.begin_run(arch="hybrid")
-...     tr.emit(run, 1, "envelope", 0.0, 1.5, {"outcome": "trusted"})
->>> [r["phase"] for r in tr.records() if r["type"] == "span"]
-['envelope']
+...     tr.recorder.emit("envelope.done", 1.5, run, 1,
+...                      {"t0": 0.0, "mode": "event", "outcome": "trusted"})
+>>> [(r["phase"], r["t0"], r["t1"]) for r in tr.records()
+...  if r["type"] == "span"]
+[('envelope', 0.0, 1.5)]
 >>> tracer() is NULL_TRACER
 True
 """
@@ -25,11 +31,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-from .contract import METRICS, SERIES_FIELDS, SPANS, declare
+from .contract import EVENTS, METRICS, SERIES_FIELDS, declare
 from .metrics import MetricsRegistry, ObsError
 
 #: raw sample-record fields (context keys like ``exp`` merge in later)
 _SERIES_KEYS = frozenset(SERIES_FIELDS)
+
+#: closing event kind -> the span phase it ends
+_SPAN_OF = {kind: spec.span for kind, spec in EVENTS.items() if spec.span}
 
 __all__ = ["Tracer", "NullTracer", "NULL_TRACER", "tracer",
            "active_registry", "capture"]
@@ -54,13 +63,12 @@ class Tracer:
                  context: Optional[dict] = None,
                  series_interval: Optional[float] = None,
                  on_sample=None, record: bool = False,
-                 watchdogs: bool = False, ring: Optional[int] = None,
-                 keep_spans: bool = True, run_base: int = 0):
+                 watchdogs: bool = False, keep_spans: bool = True,
+                 run_base: int = 0):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.context = dict(context or {})
         self._runs: list[tuple[int, dict]] = []
         self._spans: list[tuple] = []
-        self._keep_spans = keep_spans
         self._metrics: list[tuple[int, dict]] = []
         self._samples: list[dict] = []
         # run_base offsets run and simulator ids — the harness gives each
@@ -70,28 +78,29 @@ class Tracer:
         self._next_sim = run_base
         self.series_interval = series_interval
         self._on_sample = on_sample
-        # flight recorder + invariant watchdogs: ``record`` keeps the full
-        # stream (for --record dumps); watchdogs alone bound memory with a
-        # ring, keeping only violation/crash context
+        # flight recorder: ``record`` keeps the full stream (for --record
+        # dumps); watchdogs alone bound memory with a ring, keeping only
+        # violation/crash context; spans alone store nothing and only feed
+        # the span sink
         self.recorder = None
         self.invariants = None
-        if record or watchdogs:
+        if record or watchdogs or keep_spans:
             from .flightrec import DEFAULT_RING, FlightRecorder
             self.recorder = FlightRecorder(
-                maxlen=None if record else (ring or DEFAULT_RING))
+                maxlen=None if record else DEFAULT_RING if watchdogs else 0)
+            sinks = []
             if watchdogs:
                 from .invariants import InvariantEngine
                 self.invariants = InvariantEngine(self.recorder)
-                self.recorder.on_event = self.invariants.observe
+                sinks.append(self.invariants.observe)
+            if keep_spans:
+                sinks.append(self._close_span)
+            self.recorder.on_event = _fan_out(sinks)
         self._kernel_events = declare(self.registry, "kernel.events")
         self._kernel_steps = declare(self.registry, "kernel.steps")
         self._kernel_wall = declare(self.registry, "kernel.wall_seconds")
         self._kernel_depth = declare(self.registry,
                                      "kernel.queue_depth_peak")
-
-    def set_context(self, **attrs: Any) -> None:
-        """Attach ``attrs`` (e.g. the experiment id) to every record."""
-        self.context.update(attrs)
 
     def begin_run(self, **attrs: Any) -> int:
         """Open a new run (one server instance); returns its id."""
@@ -99,14 +108,17 @@ class Tracer:
         self._runs.append((self._next_run, attrs))
         return self._next_run
 
-    def emit(self, run: int, conn: int, phase: str, t0: float, t1: float,
-             attrs: Optional[dict] = None) -> None:
-        """Record one completed span.  ``phase`` must be in the contract."""
-        if phase not in SPANS:
-            raise ObsError(f"span phase {phase!r} is not in the "
-                           "instrumentation contract (repro.obs.contract)")
-        if self._keep_spans:
-            self._spans.append((run, conn, phase, t0, t1, attrs))
+    def _close_span(self, event: tuple) -> None:
+        """Recorder sink: keep the span each closing event ends."""
+        _, t, run, conn, kind, attrs = event
+        phase = _SPAN_OF.get(kind)
+        if phase is None:
+            return
+        attrs = dict(attrs or ())
+        t0 = attrs.pop("t0", None)
+        if t0 is None:
+            raise ObsError(f"closing event {kind!r} carries no t0 attr")
+        self._spans.append((run, conn, phase, t0, t, attrs))
 
     def emit_metrics(self, run: int, dump: dict) -> None:
         """Attach a metrics-registry dump to ``run``."""
@@ -173,7 +185,7 @@ class Tracer:
         Event order is emission order — simulation order — so recordings,
         like traces and series, are byte-identical at any ``--jobs``.
         """
-        if self.recorder is None:
+        if self.recorder is None or self.recorder.maxlen == 0:
             return iter(())
         return self.recorder.records(self.context)
 
@@ -207,6 +219,17 @@ class Tracer:
                    **self.context}
 
 
+def _fan_out(sinks: list):
+    """One recorder sink feeding every sink in ``sinks``, or ``None``."""
+    if len(sinks) < 2:
+        return sinks[0] if sinks else None
+
+    def emit(event: tuple) -> None:
+        for sink in sinks:
+            sink(event)
+    return emit
+
+
 def _nonzero(dump_value) -> bool:
     if isinstance(dump_value, dict):
         return bool(dump_value.get("count") or dump_value.get("value")
@@ -228,14 +251,8 @@ class NullTracer:
     recorder = None
     invariants = None
 
-    def set_context(self, **attrs: Any) -> None:
-        pass
-
     def begin_run(self, **attrs: Any) -> int:
         return 0
-
-    def emit(self, *args: Any, **kwargs: Any) -> None:
-        pass
 
     def emit_metrics(self, run: int, dump: dict) -> None:
         pass
@@ -288,8 +305,7 @@ def active_registry() -> Optional[MetricsRegistry]:
 def capture(context: Optional[dict] = None,
             series_interval: Optional[float] = None,
             on_sample=None, record: bool = False, watchdogs: bool = False,
-            ring: Optional[int] = None, keep_spans: bool = True,
-            run_base: int = 0):
+            keep_spans: bool = True, run_base: int = 0):
     """Enable tracing for the duration of the ``with`` block.
 
     Captures nest (the inner capture shadows the outer one); objects
@@ -303,10 +319,11 @@ def capture(context: Optional[dict] = None,
     ``record=True`` keeps the full flight-recorder event stream
     (``tr.record_records()`` / ``--record OUT``); ``watchdogs=True`` runs
     the online invariant engine over the stream, bounding memory with a
-    ring of ``ring`` events when the full stream is not kept.
-    ``keep_spans=False`` validates span emissions but discards them — the
-    harness uses it when only watchdogs are wanted, so an always-on run
-    does not accumulate an unbounded span list.
+    ring of ``DEFAULT_RING`` events when the full stream is not kept.
+    ``keep_spans=False`` derives no spans — the harness uses it when only
+    watchdogs are wanted, so an always-on run does not accumulate an
+    unbounded span list; with neither ``record`` nor ``watchdogs`` either,
+    no recorder is built and instrumented code emits nothing.
     ``run_base`` offsets run/simulator ids (see :class:`Tracer`) — the
     harness uses it to keep ids unique across intra-experiment shards.
     """
@@ -314,7 +331,7 @@ def capture(context: Optional[dict] = None,
     previous = _active
     _active = Tracer(context=context, series_interval=series_interval,
                      on_sample=on_sample, record=record, watchdogs=watchdogs,
-                     ring=ring, keep_spans=keep_spans, run_base=run_base)
+                     keep_spans=keep_spans, run_base=run_base)
     try:
         yield _active
     finally:

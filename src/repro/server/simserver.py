@@ -20,12 +20,13 @@ The OS-process accounting (pids, context switches, forks) is handled by
 :class:`repro.sim.resources.CPU`; mailbox writes are priced by the
 filesystem cost models via the planners in :mod:`repro.server.ioplan`.
 
-When tracing is enabled (``repro.obs.capture``) the server emits one span
-per lifecycle phase — ``connection``, ``envelope``, ``dnsbl``, ``fork``,
-``delegate``, ``data``, ``delivery`` — keyed by a per-server connection id;
-the span catalogue lives in ``docs/OBSERVABILITY.md``.  With tracing off
-(the default) every emission site is behind an ``is not None`` check on an
-attribute that is ``None``, so the simulation pays nothing.
+When tracing is enabled (``repro.obs.capture``) the server emits one
+flight-recorder event per site, keyed by a per-server connection id; each
+lifecycle phase ends in a closing event carrying the phase's start as
+``t0``, from which the tracer derives the phase's span (catalogues in
+``docs/OBSERVABILITY.md``).  With tracing off (the default) every emission
+site is behind an ``is not None`` check on an attribute that is ``None``,
+so the simulation pays nothing.
 """
 
 from __future__ import annotations
@@ -148,14 +149,12 @@ class MailServerSim:
             self._forking += 1
             t_fork = self.sim.now
             yield from self.cpu.fork(MASTER_PID)
-            if self._tr is not None:
-                self._tr.emit(self._run, cid, "fork", t_fork, self.sim.now)
             self._forking -= 1
             worker = _Worker(next(self._pids),
                              Store(self.sim, capacity=1))
             if self._rec is not None:
                 self._rec.emit("fork", self.sim.now, self._run, cid,
-                               {"pid": worker.pid})
+                               {"t0": t_fork, "pid": worker.pid})
             self._workers.append(worker)
             self._idle.append(worker)
             self.sim.process(self._vanilla_worker_loop(worker),
@@ -227,12 +226,9 @@ class MailServerSim:
         if not worker.inbox.try_put(task):
             # all sockets full: the finite buffers throttle the master
             yield worker.inbox.put(task)
-        if self._tr is not None:
-            self._tr.emit(self._run, cid, "delegate", t_deleg, self.sim.now,
-                          {"queue_depth": len(worker.inbox)})
         if self._rec is not None:
             self._rec.emit("delegate", self.sim.now, self._run, cid,
-                           {"depth": len(worker.inbox)})
+                           {"t0": t_deleg, "queue_depth": len(worker.inbox)})
 
     def _pick_hybrid_worker(self) -> _Worker:
         """Round-robin over the worker pool, growing it up to the limit."""
@@ -310,28 +306,14 @@ class MailServerSim:
         if self.resolver is not None:
             rejected = yield from self._dnsbl_check(conn, pid, cid)
             if rejected:
-                if self._tr is not None:
-                    self._tr.emit(self._run, cid, "envelope", t0, sim.now,
-                                  {"mode": mode, "outcome": "rejected"})
-                if self._rec is not None:
-                    self._rec.emit("envelope.done", sim.now, self._run, cid,
-                                   {"mode": mode, "outcome": "rejected"})
-                self._finish(conn, t0, rejected=True,
-                             cid=cid, t_conn=t_conn, outcome="rejected")
+                self._finish(t0, cid, t_conn, "rejected", mode)
                 return None
         yield from self._rtt()
 
         if conn.unfinished:
             yield from cpu.compute(pid, command_cost)        # QUIT
             self.metrics.unfinished_connections += 1
-            if self._tr is not None:
-                self._tr.emit(self._run, cid, "envelope", t0, sim.now,
-                              {"mode": mode, "outcome": "unfinished"})
-            if self._rec is not None:
-                self._rec.emit("envelope.done", sim.now, self._run, cid,
-                               {"mode": mode, "outcome": "unfinished"})
-            self._finish(conn, t0, cid=cid, t_conn=t_conn,
-                         outcome="unfinished")
+            self._finish(t0, cid, t_conn, "unfinished", mode)
             return None
 
         rec = self._rec
@@ -354,24 +336,16 @@ class MailServerSim:
                     # fork-after-trust boundary: first valid recipient.
                     # The already-validated recipient plus the rest of this
                     # mail's envelope travel with the delegation.
-                    if self._tr is not None:
-                        self._tr.emit(self._run, cid, "envelope", t0, sim.now,
-                                      {"mode": mode, "outcome": "trusted"})
                     if rec is not None:
                         rec.emit("envelope.done", sim.now, self._run, cid,
-                                 {"mode": mode, "outcome": "trusted"})
+                                 {"t0": t0, "mode": mode,
+                                  "outcome": "trusted"})
                     return (_TrustedMail(mail, r_index + 1),
                             conn.mails[index + 1:])
             # every recipient of this mail bounced; next MAIL (if any)
         yield from cpu.compute(pid, command_cost)        # QUIT
         self.metrics.bounce_connections += 1
-        if self._tr is not None:
-            self._tr.emit(self._run, cid, "envelope", t0, sim.now,
-                          {"mode": mode, "outcome": "bounce"})
-        if self._rec is not None:
-            self._rec.emit("envelope.done", sim.now, self._run, cid,
-                           {"mode": mode, "outcome": "bounce"})
-        self._finish(conn, t0, cid=cid, t_conn=t_conn, outcome="bounce")
+        self._finish(t0, cid, t_conn, "bounce", mode)
         return None
 
     def _run_data_phase(self, conn: Connection, trusted: "_TrustedMail",
@@ -415,8 +389,7 @@ class MailServerSim:
             if any_valid:
                 yield from self._receive_data(mail, pid, cid)
         yield from cpu.compute(pid, costs.command_cost)  # QUIT
-        self._finish(conn, t0, accepted=True,
-                     cid=cid, t_conn=t_conn, outcome="accepted")
+        self._finish(t0, cid, t_conn, "accepted")
 
     def _receive_data(self, mail: MailAttempt, pid: int, cid: int = 0):
         """DATA command, body transfer, cleanup and queue write."""
@@ -432,12 +405,9 @@ class MailServerSim:
                                         op.nbytes)
         yield from self._rtt()                     # 250 queued
         self.metrics.mails_accepted += 1
-        if self._tr is not None:
-            self._tr.emit(self._run, cid, "data", t0, self.sim.now,
-                          {"bytes": mail.size})
         if self._rec is not None:
             self._rec.emit("data", self.sim.now, self._run, cid,
-                           {"bytes": mail.size})
+                           {"t0": t0, "bytes": mail.size})
         if self.config.discard_delivery:
             # sinkhole mode: accept, count, and drop (no mailbox writes)
             return
@@ -453,38 +423,41 @@ class MailServerSim:
         # and emulates cache contents at *trace* time, not replay time
         clock = conn.t if self.config.dnsbl_use_trace_time else self.sim.now
         result = self.resolver.lookup(conn.client_addr, clock)
-        self.metrics.dnsbl_lookups += 1
-        self.metrics.observe_lookup(result.latency)
         if not result.cache_hit:
-            self.metrics.dnsbl_queries += 1
             yield from self.cpu.compute(
                 pid, costs.dns_query_cost * max(1, result.queries_issued))
             yield self.sim.timeout(result.latency)
-        if self._tr is not None:
-            self._tr.emit(self._run, cid, "dnsbl", t0, self.sim.now,
-                          {"cache_hit": result.cache_hit,
-                           "listed": result.listed})
+            self.metrics.dnsbl_queries += 1
+        # counted once the check ends, at the instant of its closing event,
+        # so a run cut during a DNS wait counts neither
+        self.metrics.dnsbl_lookups += 1
+        self.metrics.observe_lookup(result.latency)
+        if self._rec is not None:
+            self._rec.emit("dnsbl.check", self.sim.now, self._run, cid,
+                           {"t0": t0, "cache_hit": result.cache_hit,
+                            "listed": result.listed})
         if result.listed and self.reject_blacklisted:
             self.metrics.dnsbl_rejects += 1
             return True
         return False
 
-    def _finish(self, conn: Connection, t0: float, accepted: bool = False,
-                rejected: bool = False, cid: int = 0, t_conn: float = 0.0,
-                outcome: str = "accepted") -> None:
+    def _finish(self, t0: float, cid: int, t_conn: float, outcome: str,
+                mode: Optional[str] = None) -> None:
+        """End the session; a ``mode`` also closes the envelope it ended."""
         self.metrics.connections_finished += 1
-        if rejected:
+        if outcome == "rejected":
             self.metrics.connections_rejected += 1
         # the session-duration sample starts at the current *phase* start
         # (data-phase start for accepted sessions), matching the pre-obs
         # figures; the connection span covers the whole session (t_conn →)
         self.metrics.observe_session(self.sim.now - t0)
-        if self._tr is not None:
-            self._tr.emit(self._run, cid, "connection", t_conn, self.sim.now,
-                          {"outcome": outcome})
-        if self._rec is not None:
-            self._rec.emit("conn.close", self.sim.now, self._run, cid,
-                           {"outcome": outcome})
+        rec = self._rec
+        if rec is not None:
+            if mode is not None:
+                rec.emit("envelope.done", self.sim.now, self._run, cid,
+                         {"t0": t0, "mode": mode, "outcome": outcome})
+            rec.emit("conn.close", self.sim.now, self._run, cid,
+                     {"t0": t_conn, "outcome": outcome})
 
     # ----------------------------------------------------------- delivery --
     def _delivery_loop(self, pid: int):
@@ -512,12 +485,9 @@ class MailServerSim:
                 yield from self.disk.io(self.config.fs_model.cost(op),
                                         op.nbytes)
             self.metrics.mailbox_writes += n_rcpts
-            if self._tr is not None:
-                self._tr.emit(self._run, cid, "delivery", t0, self.sim.now,
-                              {"rcpts": n_rcpts, "bytes": size})
             if self._rec is not None:
                 self._rec.emit("delivery", self.sim.now, self._run, cid,
-                               {"rcpts": n_rcpts, "bytes": size})
+                               {"t0": t0, "rcpts": n_rcpts, "bytes": size})
 
 
 class _TrustedMail:

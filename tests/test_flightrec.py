@@ -11,13 +11,19 @@ import gzip
 
 import pytest
 
+from repro.clients.closed import run_closed_timed
+from repro.core import make_dnsbl_bank
 from repro.harness.cli import main as cli_main
 from repro.harness.parallel import run_experiments
+from repro.mfs import MfsStore
 from repro.mfs.layout import DATA_HEADER_SIZE
 from repro.obs import (EVENTS, FlightRecorder, InvariantEngine, ObsError,
                        RECORD_VERSION, TraceFormatError, capture,
                        check_events, diff_records, diff_report, read_trace,
                        tracer, violation_report, write_trace)
+from repro.obs.flightrec import DEFAULT_RING, format_event
+from repro.server import MailServerSim, ServerConfig
+from repro.traces import bounce_sweep_trace
 
 
 def _ev(seq, kind, run=1, conn=1, t=0.0, attrs=None, exp="unit"):
@@ -71,6 +77,13 @@ class TestFlightRecorder:
                         (2, 2.0, 3, 7, "conn.close",
                          {"outcome": "accepted"})]
 
+    def test_format_event_is_one_line(self):
+        record = _ev(7, "data", run=2, conn=3, t=1.5,
+                     attrs={"t0": 1.0, "bytes": 9})
+        assert format_event(record) == ("seq      7 t=    1.5000 run 2 "
+                                        "conn 3 data           bytes=9 "
+                                        "t0=1.0")
+
     def test_register_store_hands_out_distinct_ids(self):
         rec = FlightRecorder()
         assert (rec.register_store(), rec.register_store()) == (1, 2)
@@ -78,8 +91,14 @@ class TestFlightRecorder:
 
 class TestCaptureIntegration:
     def test_capture_without_flags_has_no_recorder(self):
-        with capture() as tr:
+        with capture(keep_spans=False) as tr:
             assert tr.recorder is None and tr.invariants is None
+            assert list(tr.record_records()) == []
+        # spans alone: the recorder stores nothing, it only feeds the spans
+        with capture() as tr:
+            assert tr.recorder.maxlen == 0 and tr.invariants is None
+            tr.recorder.emit("data", 1.0, 1, 1, {"t0": 0.5, "bytes": 9})
+            assert tr.recorder.event_count == 0 and tr.span_count == 1
             assert list(tr.record_records()) == []
         assert list(tracer().record_records()) == []   # NullTracer too
 
@@ -93,15 +112,64 @@ class TestCaptureIntegration:
         assert records[0]["exp"] == "unit"
         assert records[1]["kind"] == "conn.open"
 
+    def test_record_only_capture_feeds_no_sink(self):
+        with capture(record=True, keep_spans=False) as tr:
+            assert tr.recorder.on_event is None
+            tr.recorder.emit("data", 1.0, attrs={"bytes": 1})
+        assert [r.get("kind") for r in tr.record_records()] == [None, "data"]
+
+    def test_closing_event_without_t0_rejected(self):
+        with capture() as tr:
+            with pytest.raises(ObsError, match="'delivery'.*t0"):
+                tr.recorder.emit("delivery", 1.0,
+                                 attrs={"rcpts": 1, "bytes": 9})
+            assert tr.span_count == 0
+
     def test_watchdog_capture_uses_a_bounded_ring(self):
-        with capture(watchdogs=True, ring=16) as tr:
-            assert tr.recorder.maxlen == 16
+        with capture(watchdogs=True, keep_spans=False) as tr:
+            assert tr.recorder.maxlen == DEFAULT_RING
             assert tr.recorder.on_event == tr.invariants.observe
-            for i in range(100):
-                tr.recorder.emit("data", 0.0, attrs={"bytes": 1})
-            assert tr.recorder.event_count == 16
-        # the engine saw all 100 events, not just the surviving ring
-        assert tr.invariants._queued != {}
+            for i in range(DEFAULT_RING + 100):
+                tr.recorder.emit("data", 0.0, attrs={"t0": 0.0, "bytes": 1})
+            assert tr.recorder.event_count == DEFAULT_RING
+        # the engine saw every event, not just the surviving ring
+        assert tr.invariants._queued == {0: DEFAULT_RING + 100}
+
+
+# -- the event contract -------------------------------------------------------
+
+class TestEventContract:
+    def test_every_emitted_event_matches_its_spec(self, tmp_path,
+                                                  make_message):
+        trace = bounce_sweep_trace(0.4, n_connections=60,
+                                   unfinished_ratio=0.1)
+        listed = {conn.client_ip for conn in trace.connections[::3]}
+        with capture(record=True) as tr:
+            for arch in ("vanilla", "hybrid"):
+                def factory(sim, arch=arch):
+                    # a short TTL on the cycled trace's repeat lookups
+                    # makes cache hits and expiry drops both occur
+                    config = ServerConfig(architecture=arch,
+                                          process_limit=5,
+                                          dnsbl_mode="prefix")
+                    bank = make_dnsbl_bank(listed, "prefix", ttl=0.5,
+                                           n_providers=2)
+                    return MailServerSim(sim, config, resolver=bank,
+                                         reject_blacklisted=True)
+                run_closed_timed(trace, factory, concurrency=10,
+                                 duration=3.0, warmup=0.5)
+            with MfsStore(tmp_path) as store:
+                shared = make_message(["a@d.com", "b@d.com"])
+                store.deliver(make_message(["a@d.com"]))
+                store.deliver(shared)
+                store.delete("a@d.com", shared.mail_id)
+        events = [r for r in tr.record_records() if r["type"] == "event"]
+        assert {r["kind"] for r in events} == set(EVENTS)
+        for event in events:
+            spec = EVENTS[event["kind"]]
+            assert set(event.get("attrs") or ()) == set(spec.attrs), event
+            if spec.span:
+                assert event["attrs"]["t0"] <= event["t"], event
 
 
 # -- determinism and export ---------------------------------------------------
@@ -333,13 +401,14 @@ class TestInvariants:
         assert v.event["attrs"]["ip"] == "10.0.0.4"
 
     def test_live_engine_attaches_ring_context(self):
-        with capture(watchdogs=True, ring=8) as tr:
+        with capture(watchdogs=True) as tr:
             rec = tr.recorder
             rec.emit("run.begin", 0.0, run=1,
                      attrs={"arch": "hybrid", "storage": "mbox"})
             rec.emit("conn.open", 0.0, run=1, conn=1,
                      attrs={"ip": "1.2.3.4"})
-            rec.emit("fork", 0.1, run=1, conn=1, attrs={"pid": 3})
+            rec.emit("fork", 0.1, run=1, conn=1,
+                     attrs={"t0": 0.0, "pid": 3})
             violations = tr.invariants.finish()
         (v,) = violations
         assert v.invariant == "fork-ledger"
@@ -465,3 +534,35 @@ class TestMalformedInput:
         with pytest.raises(TraceFormatError) as excinfo:
             read_trace(path)
         assert excinfo.value.path == str(path)
+
+    @pytest.mark.parametrize("command, line, reason", [
+        ("trace-report", '{"foo": 1}', "unknown record type None"),
+        ("trace-report", '{"type": ["span"]}', "unknown record type"),
+        ("trace-report", '{"type": "span", "run": 1}',
+         "span record lacks conn, phase, t0, t1"),
+        ("series-report", '{"type": "sample"}',
+         "sample record lacks sim, t, run, metrics"),
+        ("diff-report", '{"foo": 1}', "unknown record type None"),
+    ], ids=["no-type", "unhashable-type", "span-lacks-fields",
+            "sample-lacks-fields", "diff-no-type"])
+    def test_record_without_indexed_fields_rejected(self, tmp_path, capsys,
+                                                    command, line, reason):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"type": "meta", "version": 1}\n' + line + "\n")
+        argv = [command, str(path)]
+        if command == "diff-report":
+            argv.append(str(path))
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1           # exactly one error line
+        assert f"{path}:2: {reason}" in err
+
+    def test_csv_record_without_indexed_fields_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_trace(path, [{"type": "meta", "version": 1},
+                           {"type": "span", "run": 1, "conn": 1,
+                            "phase": "data", "t0": 0.5}])
+        with pytest.raises(TraceFormatError) as excinfo:
+            read_trace(path)
+        assert excinfo.value.line == 3
+        assert excinfo.value.reason == "span record lacks t1"

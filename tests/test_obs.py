@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 from repro.clients import ClosedLoopClient
+from repro.clients.closed import run_closed_timed
 from repro.core import make_dnsbl_bank
 from repro.harness.cli import main as cli_main
 from repro.harness.parallel import run_experiments
 from repro.obs import (BENCH_FIELDS, EVENTS, INVARIANTS, METRICS,
                        NULL_TRACER, Counter, MetricsRegistry, ObsError,
-                       SERIES_FIELDS, SPANS, capture, read_trace, reconcile,
+                       SERIES_FIELDS, capture, read_trace, reconcile,
                        trace_report, tracer, write_trace)
 from repro.server import MailServerSim, ServerConfig
 from repro.sim import Simulator
@@ -137,7 +138,7 @@ class TestRuntime:
         tr = tracer()
         assert tr is NULL_TRACER and not tr.enabled
         assert tr.begin_run(arch="hybrid") == 0
-        tr.emit(0, 1, "connection", 0.0, 1.0)
+        assert tr.recorder is None
         assert tr.span_count == 0 and list(tr.records()) == []
 
     def test_capture_enables_and_restores(self):
@@ -148,11 +149,6 @@ class TestRuntime:
                 assert tracer() is inner
             assert tracer() is tr
         assert not tracer().enabled
-
-    def test_unknown_phase_rejected(self):
-        with capture() as tr:
-            with pytest.raises(ObsError):
-                tr.emit(1, 1, "warp", 0.0, 1.0)
 
     def test_wall_clock_metrics_excluded_from_records(self):
         with capture() as tr:
@@ -178,6 +174,29 @@ def _traced_run(config, n=60, bounce=0.3, unfinished=0.1, resolver=None,
         sim.run()
         server.finalize(sim.now)
     return server, list(tr.records())
+
+
+def _cut_dnsbl_run():
+    """Vanilla then hybrid, each with a DNSBL bank, cut while checks wait.
+
+    ``run_closed_timed`` stops both servers at a hard ``until`` that falls
+    inside some connections' DNS answer waits, so the trace holds sessions
+    still in flight — the case the reconciliation tolerance exists for.
+    """
+    trace = bounce_sweep_trace(0.5, n_connections=60, unfinished_ratio=0.1)
+    listed = {conn.client_ip for conn in trace.connections[::3]}
+    with capture(context={"exp": "snap"}) as tr:
+        for arch in ("vanilla", "hybrid"):
+            def factory(sim, arch=arch):
+                config = ServerConfig(architecture=arch, process_limit=8,
+                                      dnsbl_mode="ip",
+                                      dnsbl_use_trace_time=False)
+                bank = make_dnsbl_bank(listed, "ip", n_providers=2)
+                return MailServerSim(sim, config, resolver=bank,
+                                     reject_blacklisted=True)
+            run_closed_timed(trace, factory, concurrency=6, duration=1.5,
+                             warmup=0.375)
+    return list(tr.records())
 
 
 class TestServerSpans:
@@ -263,6 +282,91 @@ class TestReconciliation:
         for heading in ("per-phase latency", "fork-avoidance breakdown",
                         "reconciliation"):
             assert heading in text
+
+    def test_dnsbl_spans_equal_lookups_when_cut_mid_wait(self):
+        records = _cut_dnsbl_run()
+        spans: dict[int, int] = {}
+        for r in records:
+            if r["type"] == "span" and r["phase"] == "dnsbl":
+                spans[r["run"]] = spans.get(r["run"], 0) + 1
+        lookups = {r["run"]: r["metrics"]["server.dnsbl.lookups"]
+                   for r in records if r["type"] == "metrics" and r["run"]}
+        assert spans == lookups
+        # the cut did catch checks mid-wait: each check asks both
+        # providers, and more checks started than finished
+        (capture_dump,) = [r["metrics"] for r in records
+                           if r["type"] == "metrics" and r["run"] == 0]
+        started = (capture_dump["dnsbl.cache.hits"]
+                   + capture_dump["dnsbl.cache.misses"]) / 2
+        assert started > sum(spans.values())
+
+
+class TestTraceReportSnapshot:
+    """The exact ``trace-report`` text of one small, seeded, cut-off run.
+
+    A literal snapshot: any change to span emission, the report layout or
+    the simulated timings shows up here as a readable text diff.
+    """
+
+    def test_cut_dnsbl_run_report(self):
+        assert trace_report(_cut_dnsbl_run()) == (_CUT_DNSBL_REPORT, True)
+
+
+_CUT_DNSBL_REPORT = """\
+per-phase latency (simulated seconds)
+experiment    phase          count       total       p50       p90       p99
+snap          connection        84      16.791    0.1870    0.3603    0.4739
+snap          data              19       1.216    0.0639    0.0654    0.0677
+snap          delegate          12       0.001    0.0000    0.0001    0.0001
+snap          delivery          19       0.036    0.0016    0.0032    0.0032
+snap          dnsbl             89       6.019    0.0289    0.1724    0.2521
+snap          envelope          85      13.331    0.1467    0.2878    0.3723
+snap          fork               6       0.017    0.0024    0.0048    0.0048
+
+fork-avoidance breakdown
+experiment    arch        conns  forks  deleg  accept  bounce  unfin  reject no-worker
+snap          hybrid         52      0     12      12      21      1      18        40
+snap          vanilla        32      6      0       7      13      1      11         0
+
+critical-path blame (exclusive simulated seconds; delivery is async)
+experiment    arch      conns    total envelope    dnsbl     fork delegate     data    other delivery
+snap          hybrid       52     8.89     4.62     3.47     0.00     0.00     0.77     0.03     0.02
+snap          vanilla      32     7.90     2.86     2.24     0.02     0.00     0.44     2.33     0.02
+(excluded 6 span(s) from 5 connection(s) still in flight at cutoff)
+
+slowest connections (top 5 by end-to-end latency)
+experiment     run  conn arch     outcome       total  dominant segments
+snap             1    15 vanilla  accepted      0.474  dnsbl 0.212, envelope 0.121, other 0.076
+snap             1    19 vanilla  rejected      0.451  other 0.403, envelope 0.030, dnsbl 0.017
+snap             2    32 hybrid   accepted      0.439  dnsbl 0.252, envelope 0.120, data 0.064
+snap             1    21 vanilla  bounce        0.435  other 0.285, envelope 0.121, dnsbl 0.029
+snap             1    31 vanilla  rejected      0.413  other 0.211, dnsbl 0.172, envelope 0.030
+
+critical-path reconciliation: blamed (+overlap) vs raw span totals (tolerance 1%)
+experiment    phase             blamed       spans  ok
+snap          connection        16.791      16.791  yes
+snap          data               1.216       1.216  yes
+snap          delegate           0.001       0.001  yes
+snap          delivery           0.036       0.036  yes
+snap          dnsbl              5.715       5.715  yes
+snap          envelope          13.195      13.195  yes
+snap          fork               0.017       0.017  yes
+
+kernel scheduler
+experiment          events       steps  depth-peak
+snap                  1457        1216          14
+
+reconciliation: spans vs metrics registry (tolerance 1%)
+experiment     run invariant                    spans   metrics  ok
+snap             1 finished connections            32        32  yes
+snap             1 accepted mails                   7         7  yes
+snap             1 dnsbl checks                    33        33  yes
+snap             1 mailbox writes                   7         7  yes
+snap             1 forks                            6         6  yes
+snap             2 finished connections            52        52  yes
+snap             2 accepted mails                  12        12  yes
+snap             2 dnsbl checks                    56        56  yes
+snap             2 mailbox writes                  12        12  yes"""
 
 
 # -- determinism and export ---------------------------------------------------
@@ -375,7 +479,7 @@ class TestCli:
 # -- contract ↔ documentation diff -------------------------------------------
 
 class TestContractDocSync:
-    """docs/OBSERVABILITY.md must list every span and metric, exactly."""
+    """docs/OBSERVABILITY.md must list every event and metric, exactly."""
 
     @staticmethod
     def _documented(section_heading):
@@ -386,7 +490,8 @@ class TestContractDocSync:
         return set(re.findall(r"^\| `([^`]+)`", match.group(1), re.M))
 
     def test_every_span_documented(self):
-        assert self._documented("Span catalogue") == set(SPANS)
+        phases = {spec.span for spec in EVENTS.values() if spec.span}
+        assert self._documented("Span catalogue") == phases
 
     def test_every_metric_documented(self):
         assert self._documented("Metric catalogue") == set(METRICS)

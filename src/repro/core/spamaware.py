@@ -59,7 +59,9 @@ def make_dnsbl_bank(blacklisted_ips, strategy: str,
     All providers serve the same zone contents (public DNSBLs overlap
     heavily for botnet hosts) but have distinct latency behaviour (Fig. 5).
     The listings are built once and shared read-only by every provider's
-    zone.  ``strategy`` is ``"ip"`` or ``"prefix"``.
+    zone.  ``blacklisted_ips`` holds 32-bit ints (e.g.
+    :meth:`~repro.traces.BotnetModel.zone_addrs`) or dotted quads.
+    ``strategy`` is ``"ip"`` or ``"prefix"``.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown DNSBL strategy {strategy!r}")

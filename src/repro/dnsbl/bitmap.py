@@ -20,7 +20,7 @@ either form.
 
 from __future__ import annotations
 
-import ipaddress
+from socket import AF_INET, inet_pton
 
 from ..errors import DnsError
 
@@ -36,12 +36,17 @@ __all__ = [
 def ip_to_int(ip: str) -> int:
     """Validate a dotted quad and return it as a 32-bit int.
 
+    The one strict parser of the package: it accepts exactly the canonical
+    four-decimal-octet form (no leading zeros, signs, whitespace or
+    non-ASCII digits), so ``int_to_ip(ip_to_int(s)) == s`` for every
+    ``s`` it accepts.
+
     >>> ip_to_int("1.2.3.4")
     16909060
     """
     try:
-        return int(ipaddress.IPv4Address(ip))
-    except ValueError as exc:
+        return int.from_bytes(inet_pton(AF_INET, ip), "big")
+    except (OSError, TypeError, ValueError) as exc:
         raise DnsError(f"invalid IPv4 address {ip!r}") from exc
 
 

@@ -53,10 +53,6 @@ class CacheStats:
     def hit_ratio(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.lookups if self.lookups else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CacheStats(hits={self.hits}, misses={self.misses}, "
                 f"hit_ratio={self.hit_ratio:.3f})")

@@ -8,7 +8,8 @@ serves /25 bitmaps for the DNSBLv6 scheme.
 Both tables are keyed on 32-bit addresses: :attr:`DnsblZone.code` maps an
 address to its listing code and :attr:`DnsblZone.bitmap` maps a /25 key
 (``addr >> 7``) to its 128-bit bitmap, bit ``addr & 127`` counted from the
-MSB (§7.1).  The string methods validate and parse at the boundary.
+MSB (§7.1).  Entries may be given as ints or dotted quads; the string
+methods validate and parse at the boundary.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..errors import DnsError
-from .bitmap import int_to_ip, ip_to_int
+from .bitmap import as_addr, ip_to_int
 
 __all__ = ["ListingCode", "DnsblZone"]
 
@@ -47,7 +48,7 @@ class DnsblZone:
     """The blacklist database behind one DNSBL service."""
 
     def __init__(self, origin: str,
-                 entries: Optional[Iterable[str]] = None,
+                 entries: Optional[Iterable[int | str]] = None,
                  default_code: int = ListingCode.EXPLOITED):
         if not origin or origin.startswith("."):
             raise DnsError(f"invalid zone origin {origin!r}")
@@ -57,7 +58,7 @@ class DnsblZone:
         self.code: dict[int, int] = {}
         self.bitmap: dict[int, int] = {}
         for ip in entries or ():
-            self._list(ip_to_int(ip), default_code)
+            self._list(as_addr(ip), default_code)
 
     def with_origin(self, origin: str) -> "DnsblZone":
         """The same listings served under another origin.
@@ -108,6 +109,3 @@ class DnsblZone:
         if half not in (0, 1):
             raise DnsError(f"half must be 0 or 1, got {half!r}")
         return self.bitmap.get((ip_to_int(prefix + ".0") >> 7) | half, 0)
-
-    def listed_ips(self) -> list[str]:
-        return sorted(int_to_ip(n) for n in self.code)

@@ -491,7 +491,7 @@ class Figure14(Experiment):
             ["rate", "ip_throughput", "prefix_throughput", "gap_percent"],
             scale)
         trace, prefixes = _sinkhole(scale, n_quick=8_000, n_full=16_000)
-        zone_ips = BotnetModel.zone_ips(prefixes)
+        zone_addrs = BotnetModel.zone_addrs(prefixes)
         rates = (100, 200) if scale == Scale.QUICK else (40, 80, 120, 150,
                                                          175, 200)
         duration = 30.0 if scale == Scale.QUICK else 60.0
@@ -503,7 +503,8 @@ class Figure14(Experiment):
                                    dnsbl_use_trace_time=True,
                                    discard_delivery=True)
                 return MailServerSim(sim, cfg,
-                                     resolver=make_dnsbl_bank(zone_ips, mode))
+                                     resolver=make_dnsbl_bank(zone_addrs,
+                                                              mode))
             return make
 
         gaps = {}
@@ -544,9 +545,8 @@ class Figure15(Experiment):
         trace, prefixes = _sinkhole(
             scale, n_quick=20_000,
             n_full=SinkholeConfig().n_connections)
-        zone_ips = BotnetModel.zone_ips(prefixes)
         model = PROVIDERS["cbl.abuseat.org"]
-        zone = DnsblZone("cbl.abuseat.org", zone_ips)
+        zone = DnsblZone("cbl.abuseat.org", BotnetModel.zone_addrs(prefixes))
         stats = {}
         for name, strategy in STRATEGIES.items():
             resolver = DnsblResolver(DnsblServer(zone), strategy(),
@@ -596,7 +596,7 @@ class Combined(Experiment):
 
         # spam workload: sinkhole + ECN bounce ratio
         trace, prefixes = _sinkhole(scale, n_quick=8_000, n_full=16_000)
-        zone = BotnetModel.zone_ips(prefixes)
+        zone = BotnetModel.zone_addrs(prefixes)
         ecn_bounce, _unf = EcnBounceSeries().mean_ratios()
         combined = with_bounces(trace, bounce_ratio=ecn_bounce)
         mv = run_closed_timed(combined, lambda s: build_vanilla(s, zone),
@@ -617,12 +617,14 @@ class Combined(Experiment):
         # univ workload
         n_univ = 8_000 if scale == Scale.QUICK else 16_000
         univ = cached_univ(n_univ)
-        spam_ips = ({c.client_ip for c in univ for m in c.mails if m.is_spam}
-                    | {c.client_ip for c in univ if c.unfinished})
-        mvu = run_closed_timed(univ, lambda s: build_vanilla(s, spam_ips),
+        spam_addrs = ({c.client_addr for c in univ
+                       for m in c.mails if m.is_spam}
+                      | {c.client_addr for c in univ if c.unfinished})
+        mvu = run_closed_timed(univ, lambda s: build_vanilla(s, spam_addrs),
                                concurrency=conc, duration=duration,
                                warmup=warmup)
-        msu = run_closed_timed(univ, lambda s: build_spamaware(s, spam_ips),
+        msu = run_closed_timed(univ,
+                               lambda s: build_spamaware(s, spam_addrs),
                                concurrency=conc, duration=duration,
                                warmup=warmup)
         univ_gain = msu.goodput() / mvu.goodput() - 1

@@ -19,6 +19,15 @@ __all__ = ["RngStream", "SeedSequence"]
 class RngStream(random.Random):
     """A :class:`random.Random` with a few distribution helpers."""
 
+    def below(self, n: int) -> int:
+        """An int in ``[0, n)``: the draw ``randrange(n)`` makes, without
+        its argument checks (``n`` must be a positive int).
+
+        ``randint(a, b)`` is ``a + below(b - a + 1)`` draw for draw, so
+        hot generator loops can use it and keep every stream unchanged.
+        """
+        return self._randbelow(n)
+
     def exponential(self, mean: float) -> float:
         """Draw from Exp(1/mean); mean must be positive."""
         if mean <= 0:

@@ -12,6 +12,12 @@ sinkhole trace:
 properties: each prefix gets a CBL-blacklisted host set (Fig. 12's
 distribution) and a subset of *observed* spammers that actually appear in the
 sinkhole trace.
+
+Addresses are 32-bit ints: a prefix is its base address ``base_addr`` (low
+octet zero) and a host is ``base_addr | last_octet``.  The dotted-quad views
+(``base``, ``spammers``, ``blacklisted_ips()``, ``spammer_ips()``,
+``zone_ips()``) are derived for readers of text; the generators and the
+DNSBL zone use the int views (``spammer_addrs``, ``zone_addrs()``).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..dnsbl.bitmap import int_to_ip
 from ..sim.random import RngStream
 
 __all__ = ["BotnetPrefix", "BotnetModel"]
@@ -28,23 +35,34 @@ __all__ = ["BotnetPrefix", "BotnetModel"]
 class BotnetPrefix:
     """One infected /24 prefix.
 
-    ``base`` is the dotted /24 prefix (three octets); ``blacklisted_hosts``
-    are the last-octet values of CBL-listed machines in the prefix;
-    ``spammers`` are the dotted-quad IPs that actually spam our sinkhole
-    (always a subset of the blacklisted machines — the sinkhole only sees
-    active bots).
+    ``base_addr`` is the prefix's first address (low octet zero);
+    ``blacklisted_hosts`` are the last-octet values of CBL-listed machines
+    in the prefix; ``spammer_addrs`` are the addresses that actually spam
+    our sinkhole (always a subset of the blacklisted machines — the
+    sinkhole only sees active bots).
     """
 
-    base: str
+    base_addr: int
     blacklisted_hosts: frozenset
-    spammers: tuple
+    spammer_addrs: tuple
+
+    @property
+    def base(self) -> str:
+        """The dotted /24 prefix (three octets)."""
+        return int_to_ip(self.base_addr)[:-2]
+
+    @property
+    def spammers(self) -> tuple:
+        """The observed spammers as dotted quads."""
+        return tuple(int_to_ip(a) for a in self.spammer_addrs)
 
     @property
     def blacklisted_count(self) -> int:
         return len(self.blacklisted_hosts)
 
     def blacklisted_ips(self) -> list[str]:
-        return [f"{self.base}.{h}" for h in sorted(self.blacklisted_hosts)]
+        return [int_to_ip(self.base_addr | h)
+                for h in sorted(self.blacklisted_hosts)]
 
 
 class BotnetModel:
@@ -76,22 +94,25 @@ class BotnetModel:
         self.half_clustering = half_clustering
 
     # -- prefix address allocation -------------------------------------------
-    def _allocate_bases(self) -> list[str]:
-        bases: set[str] = set()
-        rng = self.rng
+    def _allocate_bases(self) -> list[int]:
+        bases: set[int] = set()
+        below = self.rng.below
         while len(bases) < self.n_prefixes:
-            a = rng.randint(1, 223)
+            a = 1 + below(223)
             if a in (10, 127, 172, 192):  # stay clear of special-use space
                 continue
-            bases.add(f"{a}.{rng.randint(0, 255)}.{rng.randint(0, 255)}")
-        return sorted(bases)
+            b = below(256)
+            bases.add(a << 24 | b << 16 | below(256) << 8)
+        # the prefixes come out in the order of their dotted text, which
+        # every later draw depends on
+        return sorted(bases, key=int_to_ip)
 
     def _blacklisted_size(self) -> int:
         band = self.rng.choice_weighted(
             (self.LIGHT, self.MODERATE, self.HEAVY), self.MIX)
         lo, hi = band
         if band is self.LIGHT:
-            return self.rng.randint(lo, hi)
+            return lo + self.rng.below(hi - lo + 1)
         # log-uniform within the band: heavy infections are rarer
         return int(round(math.exp(self.rng.uniform(math.log(lo), math.log(hi)))))
 
@@ -122,8 +143,8 @@ class BotnetModel:
             size = max(size, n_spam)  # observed spammers are blacklisted too
             hosts = frozenset(self._sample_hosts(size))
             spammer_hosts = rng.sample(sorted(hosts), n_spam)
-            spammers = tuple(f"{base}.{h}" for h in spammer_hosts)
-            prefixes.append(BotnetPrefix(base, hosts, spammers))
+            prefixes.append(BotnetPrefix(
+                base, hosts, tuple(base | h for h in spammer_hosts)))
         return prefixes
 
     def _sample_hosts(self, size: int) -> list[int]:
@@ -143,17 +164,22 @@ class BotnetModel:
         return chosen
 
     @staticmethod
+    def zone_addrs(prefixes: list[BotnetPrefix]) -> set[int]:
+        """All CBL-blacklisted addresses — the DNSBL zone contents."""
+        return {prefix.base_addr | h for prefix in prefixes
+                for h in prefix.blacklisted_hosts}
+
+    @staticmethod
     def zone_ips(prefixes: list[BotnetPrefix]) -> set[str]:
-        """All CBL-blacklisted IPs — the DNSBL zone contents."""
-        zone: set[str] = set()
-        for prefix in prefixes:
-            zone.update(prefix.blacklisted_ips())
-        return zone
+        """:meth:`zone_addrs` as dotted quads."""
+        return {int_to_ip(a) for a in BotnetModel.zone_addrs(prefixes)}
+
+    @staticmethod
+    def spammer_addrs(prefixes: list[BotnetPrefix]) -> list[int]:
+        """All observed spammer addresses across prefixes, in order."""
+        return [a for prefix in prefixes for a in prefix.spammer_addrs]
 
     @staticmethod
     def spammer_ips(prefixes: list[BotnetPrefix]) -> list[str]:
-        """All observed spammer IPs across prefixes."""
-        out: list[str] = []
-        for prefix in prefixes:
-            out.extend(prefix.spammers)
-        return out
+        """:meth:`spammer_addrs` as dotted quads."""
+        return [int_to_ip(a) for a in BotnetModel.spammer_addrs(prefixes)]

@@ -6,6 +6,13 @@ synthetic derivatives are.  Each connection carries its arrival time, origin
 IP, and the mails the client attempts, including which recipients exist
 (valid) and which are random guesses (bounces).
 
+Origin addresses are 32-bit ints (``Connection.client_addr``): generators
+draw them as ints, and the statistics key IPs, /24s and /25s on ``addr``,
+``addr >> 8`` and ``addr >> 7``.  The dotted quad ``client_ip`` is derived
+on first read, for the text boundaries (trace files, recorder events,
+socket replay); a dotted quad given to the constructor is parsed once, by
+:func:`repro.dnsbl.bitmap.ip_to_int`.
+
 The same records drive every layer of the reproduction: trace statistics
 (Table 1, Figs. 3/4/12/13), the simulator's workload (Figs. 8/10/11/14/15),
 and the asyncio load generators.
@@ -13,11 +20,11 @@ and the asyncio load generators.
 
 from __future__ import annotations
 
-import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from ..errors import TraceError
+from ..dnsbl.bitmap import int_to_ip, ip_to_int
+from ..errors import DnsError, TraceError
 from ..sim.stats import Cdf
 
 __all__ = [
@@ -47,12 +54,29 @@ def prefix25(ip: str) -> str:
     return f"{'.'.join(parts[:3])}/{half}"
 
 
-@dataclass(frozen=True)
 class RecipientAttempt:
-    """One RCPT TO attempt; ``valid`` means the mailbox exists locally."""
+    """One RCPT TO attempt; ``valid`` means the mailbox exists locally.
 
-    mailbox: str
-    valid: bool = True
+    A value: compared and hashed by ``(mailbox, valid)``, never mutated.
+    """
+
+    __slots__ = ("mailbox", "valid")
+
+    def __init__(self, mailbox: str, valid: bool = True):
+        self.mailbox = mailbox
+        self.valid = valid
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mailbox == other.mailbox and self.valid == other.valid
+
+    def __hash__(self) -> int:
+        return hash((self.mailbox, self.valid))
+
+    def __repr__(self) -> str:
+        return (f"RecipientAttempt(mailbox={self.mailbox!r}, "
+                f"valid={self.valid!r})")
 
 
 @dataclass
@@ -79,30 +103,69 @@ class MailAttempt:
         return not self.valid_recipients
 
 
-@dataclass
 class Connection:
     """One inbound SMTP connection.
 
     ``unfinished`` connections perform the handshake and quit without
-    attempting any mail (§4.1's second rogue class).  ``client_addr`` is
-    ``client_ip`` as a 32-bit int, parsed once here; the DNSBL lookups
-    key on it.
+    attempting any mail (§4.1's second rogue class).  The origin is given
+    as exactly one of ``client_ip`` (a dotted quad, parsed here) or
+    ``client_addr`` (a 32-bit int, as the generators draw it).  The int is
+    what the record stores; ``client_ip`` is derived from it on first read.
     """
 
-    t: float
-    client_ip: str
-    mails: list[MailAttempt] = field(default_factory=list)
-    unfinished: bool = False
-    helo: str = "client.example"
-    client_addr: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("t", "client_addr", "mails", "unfinished", "helo",
+                 "_client_ip")
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.unfinished and self.mails:
+    def __init__(self, t: float, client_ip: Optional[str] = None,
+                 mails: Optional[list[MailAttempt]] = None,
+                 unfinished: bool = False, helo: str = "client.example", *,
+                 client_addr: Optional[int] = None):
+        if client_addr is None:
+            if client_ip is None:
+                raise TraceError("a connection needs client_ip or client_addr")
+            try:
+                client_addr = ip_to_int(client_ip)
+            except DnsError as exc:
+                raise TraceError(f"invalid client IP {client_ip!r}") from exc
+        elif client_ip is not None:
+            raise TraceError("give client_ip or client_addr, not both")
+        elif not 0 <= client_addr <= 0xFFFFFFFF:
+            raise TraceError(f"client address out of range: {client_addr!r}")
+        if mails is None:
+            mails = []
+        if unfinished and mails:
             raise TraceError("an unfinished connection cannot carry mails")
-        if not self.unfinished and not self.mails:
+        if not unfinished and not mails:
             raise TraceError("a finished connection must carry >= 1 mail")
-        # validate the IP eagerly; everything downstream assumes dotted quad
-        self.client_addr = int(ipaddress.IPv4Address(self.client_ip))
+        self.t = t
+        self.client_addr = client_addr
+        self.mails = mails
+        self.unfinished = unfinished
+        self.helo = helo
+        # the strict parser accepts only the canonical text, so a given
+        # dotted quad is already what int_to_ip would derive
+        self._client_ip = client_ip
+
+    @property
+    def client_ip(self) -> str:
+        """The origin as a dotted quad (derived once, then cached)."""
+        ip = self._client_ip
+        if ip is None:
+            ip = self._client_ip = int_to_ip(self.client_addr)
+        return ip
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.t, self.client_addr, self.mails, self.unfinished,
+                 self.helo) == (other.t, other.client_addr, other.mails,
+                                other.unfinished, other.helo))
+
+    def __repr__(self) -> str:
+        return (f"Connection(t={self.t!r}, client_ip={self.client_ip!r}, "
+                f"mails={self.mails!r}, unfinished={self.unfinished!r}, "
+                f"helo={self.helo!r})")
 
     @property
     def is_bounce(self) -> bool:
@@ -151,9 +214,9 @@ class Trace:
 
     def head(self, n: int) -> "Trace":
         """The first ``n`` connections as a new trace (for quick runs)."""
-        return Trace(self.connections[:n], name=f"{self.name}[:{n}]",
-                     duration=self.connections[min(n, len(self.connections)) - 1].t
-                     if self.connections else 0.0)
+        head = self.connections[:n]
+        return Trace(head, name=f"{self.name}[:{n}]",
+                     duration=head[-1].t if head else 0.0)
 
 
 @dataclass
@@ -176,13 +239,10 @@ class TraceStats:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "TraceStats":
-        ips, p24, p25 = set(), set(), set()
+        ips = {conn.client_addr for conn in trace}
         mails = delivered = spam = bounces = unfinished = 0
         rcpt_cdf, size_cdf = Cdf(), Cdf()
         for conn in trace:
-            ips.add(conn.client_ip)
-            p24.add(prefix24(conn.client_ip))
-            p25.add(prefix25(conn.client_ip))
             if conn.unfinished:
                 unfinished += 1
                 continue
@@ -200,7 +260,8 @@ class TraceStats:
             name=trace.name, connections=len(trace), mails=mails,
             delivered_mails=delivered, bounce_connections=bounces,
             unfinished_connections=unfinished, unique_ips=len(ips),
-            unique_prefixes24=len(p24), unique_prefixes25=len(p25),
+            unique_prefixes24=len({addr >> 8 for addr in ips}),
+            unique_prefixes25=len({addr >> 7 for addr in ips}),
             spam_mails=spam, recipients_cdf=rcpt_cdf, mail_size_cdf=size_cdf)
 
     @property
@@ -229,15 +290,16 @@ def interarrival_cdfs(trace: Trace) -> tuple[Cdf, Cdf]:
     Returns ``(by_ip, by_prefix)``; prefix interarrivals are stochastically
     smaller whenever spam origins cluster within prefixes.
     """
-    last_ip: dict[str, float] = {}
-    last_pfx: dict[str, float] = {}
+    last_ip: dict[int, float] = {}
+    last_pfx: dict[int, float] = {}
     by_ip, by_pfx = Cdf(), Cdf()
     for conn in trace:
-        pfx = prefix24(conn.client_ip)
-        if conn.client_ip in last_ip:
-            by_ip.add(conn.t - last_ip[conn.client_ip])
+        addr, t = conn.client_addr, conn.t
+        pfx = addr >> 8
+        if addr in last_ip:
+            by_ip.add(t - last_ip[addr])
         if pfx in last_pfx:
-            by_pfx.add(conn.t - last_pfx[pfx])
-        last_ip[conn.client_ip] = conn.t
-        last_pfx[pfx] = conn.t
+            by_pfx.add(t - last_pfx[pfx])
+        last_ip[addr] = t
+        last_pfx[pfx] = t
     return by_ip, by_pfx

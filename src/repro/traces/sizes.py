@@ -10,6 +10,8 @@ mean lands in the few-KB range typical of 2007 departmental mail.
 
 from __future__ import annotations
 
+import math
+
 from ..sim.random import RngStream
 
 __all__ = ["SizeModel", "UNIV_SIZES", "SPAM_SIZES"]
@@ -30,12 +32,8 @@ class SizeModel:
         self.ceiling = ceiling
 
     def sample(self, rng: RngStream) -> int:
-        import math
         value = rng.lognormvariate(math.log(self.median), self.sigma)
         return int(min(self.ceiling, max(self.floor, value)))
-
-    def sample_many(self, rng: RngStream, n: int) -> list[int]:
-        return [self.sample(rng) for _ in range(n)]
 
 
 #: Ham-dominated departmental mail: median ~4 KB, heavy attachment tail.

@@ -14,8 +14,6 @@ Two families, matching the paper's controlled experiments:
 
 from __future__ import annotations
 
-import itertools
-
 from ..sim.random import SeedSequence
 from .record import Connection, MailAttempt, RecipientAttempt, Trace
 from .sizes import UNIV_SIZES, SizeModel
@@ -47,16 +45,17 @@ def bounce_sweep_trace(bounce_ratio: float, n_connections: int = 5_000,
         u = rng.random()
         if u < unfinished_ratio:
             connections.append(Connection(
-                t=t, client_ip=_ip(rng), unfinished=True))
+                t=t, client_addr=_ip(rng), unfinished=True))
             continue
         is_bounce = u < unfinished_ratio + bounce_ratio
         recipient = RecipientAttempt(
-            f"guess{rng.randrange(10**6)}@{domain}" if is_bounce
-            else f"user{rng.randrange(400)}@{domain}",
+            f"guess{rng.below(10**6)}@{domain}" if is_bounce
+            else f"user{rng.below(400)}@{domain}",
             valid=not is_bounce)
         mail = MailAttempt(size=size_model.sample(rng),
                            recipients=[recipient], is_spam=is_bounce)
-        connections.append(Connection(t=t, client_ip=_ip(rng), mails=[mail]))
+        connections.append(Connection(t=t, client_addr=_ip(rng),
+                                      mails=[mail]))
     return Trace(connections, name=f"bounce-sweep({bounce_ratio:.2f})")
 
 
@@ -83,23 +82,27 @@ def recipient_sequence_trace(rcpts_per_connection: int,
         size = size_model.sample(rng)
         mailboxes = [f"user{(seq * sequence_width + k) % 400}@{domain}"
                      for k in range(sequence_width)]
-        ip = _ip(rng)
+        addr = _ip(rng)
         for start in range(0, sequence_width, rcpts_per_connection):
             group = mailboxes[start:start + rcpts_per_connection]
             recipients = [RecipientAttempt(m, valid=True) for m in group]
             mail = MailAttempt(size=size, recipients=recipients, is_spam=True)
-            connections.append(Connection(t=t, client_ip=ip, mails=[mail]))
+            connections.append(Connection(t=t, client_addr=addr,
+                                          mails=[mail]))
             t += 1e-6  # preserve ordering without implying pacing
     return Trace(connections,
                  name=f"rcpt-sequence({rcpts_per_connection})")
 
 
-_ip_counter = itertools.count()
-
-
-def _ip(rng) -> str:
-    return (f"{rng.randint(1, 223)}.{rng.randint(0, 255)}"
-            f".{rng.randint(0, 255)}.{rng.randint(1, 254)}")
+def _ip(rng) -> int:
+    """A random unicast address as an int: octets drawn a, b, c, d with
+    ``randint(1, 223)``, ``randint(0, 255)`` twice, ``randint(1, 254)``."""
+    below = rng.below
+    a = 1 + below(223)
+    b = below(256)
+    c = below(256)
+    d = 1 + below(254)
+    return a << 24 | b << 16 | c << 8 | d
 
 
 def with_bounces(trace, bounce_ratio: float, unfinished_ratio: float = 0.0,
@@ -112,9 +115,6 @@ def with_bounces(trace, bounce_ratio: float, unfinished_ratio: float = 0.0,
     guesses (all invalid) and an ``unfinished_ratio`` fraction become
     handshake-only sessions.  Arrival times and origins are preserved.
     """
-    from ..sim.random import SeedSequence
-    from .record import Connection, MailAttempt, RecipientAttempt, Trace
-
     if bounce_ratio < 0 or unfinished_ratio < 0 \
             or bounce_ratio + unfinished_ratio > 1:
         raise ValueError("invalid bounce/unfinished ratios")
@@ -123,17 +123,17 @@ def with_bounces(trace, bounce_ratio: float, unfinished_ratio: float = 0.0,
     for conn in trace:
         u = rng.random()
         if u < unfinished_ratio:
-            out.append(Connection(t=conn.t, client_ip=conn.client_ip,
+            out.append(Connection(t=conn.t, client_addr=conn.client_addr,
                                   unfinished=True, helo=conn.helo))
             continue
         if u < unfinished_ratio + bounce_ratio and not conn.unfinished:
             mails = [MailAttempt(
                 size=m.size,
                 recipients=[RecipientAttempt(
-                    f"guess{rng.randrange(10**6)}@{domain}", valid=False)
+                    f"guess{rng.below(10**6)}@{domain}", valid=False)
                     for _ in m.recipients],
                 is_spam=True) for m in conn.mails]
-            out.append(Connection(t=conn.t, client_ip=conn.client_ip,
+            out.append(Connection(t=conn.t, client_addr=conn.client_addr,
                                   mails=mails, helo=conn.helo))
             continue
         out.append(conn)

@@ -100,22 +100,23 @@ class UnivTraceGenerator:
         botnet = BotnetModel(n_prefixes=n_spam_prefixes,
                              n_spammers=n_spam_origins,
                              rng=seeds.stream("univ-botnet"))
-        spam_ips = BotnetModel.spammer_ips(botnet.generate())
-        rng.shuffle(spam_ips)
-        ham_ips = [f"198.{rng.randint(0, 255)}.{rng.randint(0, 255)}"
-                   f".{rng.randint(1, 254)}" for _ in range(cfg.n_ham_servers)]
+        spam_addrs = BotnetModel.spammer_addrs(botnet.generate())
+        rng.shuffle(spam_addrs)
+        below = rng.below
+        ham_addrs = [198 << 24 | below(256) << 16 | below(256) << 8
+                     | 1 + below(254) for _ in range(cfg.n_ham_servers)]
 
         # Botnet campaigns: spam arrivals cluster on per-prefix campaign
         # days (the same temporal locality the sinkhole exhibits, Fig. 13),
         # though weaker than at the sinkhole — a department server sees a
         # wider, fresher slice of the botnet, which is why prefix-based
         # DNSBL caching saves only ~20% of queries here versus 39% (§8).
-        campaign_day: dict[str, float] = {}
+        campaign_day: dict[int, float] = {}
 
-        def spam_time(ip: str) -> float:
+        def spam_time(addr: int) -> float:
             if rng.random() > cfg.campaign_prob:
                 return rng.uniform(0, cfg.duration_days * DAY)
-            pfx = ip.rsplit(".", 1)[0]
+            pfx = addr >> 8
             day = campaign_day.get(pfx)
             if day is None:
                 day = rng.uniform(0, cfg.duration_days)
@@ -129,49 +130,51 @@ class UnivTraceGenerator:
         for i in range(cfg.n_connections):
             kind = rng.random()
             if kind < cfg.unfinished_ratio:
-                ip = self._next_spam_ip(spam_ips, rng)
-                connections.append(Connection(t=spam_time(ip), client_ip=ip,
+                addr = self._next_spam_addr(spam_addrs, rng)
+                connections.append(Connection(t=spam_time(addr),
+                                              client_addr=addr,
                                               unfinished=True))
                 continue
             if kind < cfg.unfinished_ratio + cfg.bounce_ratio:
                 # random-guessing session: all recipients invalid
-                ip = self._next_spam_ip(spam_ips, rng)
-                n_rcpt = rng.randint(1, 4)
+                addr = self._next_spam_addr(spam_addrs, rng)
+                n_rcpt = 1 + below(4)
                 recipients = [RecipientAttempt(
-                    f"guess{rng.randrange(10**6)}@{cfg.domain}", valid=False)
+                    f"guess{below(10**6)}@{cfg.domain}", valid=False)
                     for _ in range(n_rcpt)]
                 mail = MailAttempt(size=cfg.spam_size_model.sample(rng),
                                    recipients=recipients, is_spam=True)
-                connections.append(Connection(t=spam_time(ip), client_ip=ip,
-                                              mails=[mail]))
+                connections.append(Connection(t=spam_time(addr),
+                                              client_addr=addr, mails=[mail]))
                 continue
             if rng.random() < cfg.spam_ratio:
-                ip = self._next_spam_ip(spam_ips, rng)
-                t = spam_time(ip)
+                addr = self._next_spam_addr(spam_addrs, rng)
+                t = spam_time(addr)
                 n_rcpt = rcpt_model.sample(rng)
                 recipients = [RecipientAttempt(rng.choice(valid), valid=True)
                               for _ in range(n_rcpt)]
                 mail = MailAttempt(size=cfg.spam_size_model.sample(rng),
                                    recipients=recipients, is_spam=True)
             else:
-                ip = rng.choice(ham_ips)
+                addr = rng.choice(ham_addrs)
                 t = rng.uniform(0, cfg.duration_days * DAY)
                 n_rcpt = 2 if rng.random() < 0.02 else 1
                 recipients = [RecipientAttempt(rng.choice(valid), valid=True)
                               for _ in range(n_rcpt)]
                 mail = MailAttempt(size=cfg.ham_size_model.sample(rng),
                                    recipients=recipients, is_spam=False)
-            connections.append(Connection(t=t, client_ip=ip, mails=[mail]))
+            connections.append(Connection(t=t, client_addr=addr,
+                                          mails=[mail]))
 
         connections.sort(key=lambda c: c.t)
         return Trace(connections, name="univ",
                      duration=cfg.duration_days * DAY)
 
-    def _next_spam_ip(self, spam_ips: list[str], rng) -> str:
+    def _next_spam_addr(self, spam_addrs: list[int], rng) -> int:
         """Mostly-fresh spam origins: bots rarely revisit within the month."""
-        if rng.random() < 0.75 and spam_ips:
+        if rng.random() < 0.75 and spam_addrs:
             # walk the shuffled population so unique-IP counts stay on target
-            ip = spam_ips[self._cursor % len(spam_ips)]
+            addr = spam_addrs[self._cursor % len(spam_addrs)]
             self._cursor += 1
-            return ip
-        return rng.choice(spam_ips)
+            return addr
+        return rng.choice(spam_addrs)

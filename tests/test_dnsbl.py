@@ -1,6 +1,8 @@
 """Tests for the DNSBL substrate: wire format, bitmaps, zone, server,
 cache, resolvers and latency models."""
 
+import ipaddress
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,65 @@ class TestBitmap:
     def test_invalid_ip_rejected(self):
         with pytest.raises(DnsError):
             ip_query_name("300.1.1.1", "bl.x")
+
+
+def _stdlib_addr(text):
+    """``ipaddress``'s reading of ``text`` as an int, or None if it refuses."""
+    try:
+        return int(ipaddress.IPv4Address(text))
+    except ValueError:
+        return None
+
+
+# octets in every spelling a dotted quad might arrive in: plain, out of
+# range, leading zeros, signs, whitespace, separators, hex, non-ASCII digits
+_OCTET_TEXT = st.one_of(
+    st.integers(0, 300).map(str),
+    st.integers(0, 255).map(lambda n: f"0{n}"),
+    st.sampled_from(["", "00", "+1", "-1", " 1", "1 ", "1\t", "1\n", "1_0",
+                     "0x1", "\u0661", "\u0664\u0662", "\uff11", "\u00b2",
+                     "1\x00"]),
+)
+_ADDRESS_TEXT = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda n: str(ipaddress.IPv4Address(n))),
+    st.lists(_OCTET_TEXT, min_size=3, max_size=5).map(".".join),
+    st.text(alphabet="0123456789. +-_x\t\n\u0661\uff11", max_size=18),
+)
+
+
+class TestStrictParser:
+    """``ip_to_int`` accepts and rejects exactly what ``ipaddress`` does."""
+
+    @pytest.mark.parametrize("text", [
+        "1.2.3.4", "0.0.0.0", "255.255.255.255", "01.2.3.4", "1.2.3.04",
+        "000.0.0.0", "1.2.3", "1.2.3.4.5", "1..2.3", "1.2.3.4.", "",
+        " 1.2.3.4", "1.2.3.4 ", "1.2.3.4\n", "+1.2.3.4", "-1.2.3.4",
+        "1_0.2.3.4", "\u0661.2.3.4", "1.2\x00.3.4", "0x1.2.3.4",
+        "256.1.1.1"])
+    def test_adversarial_inputs(self, text):
+        want = _stdlib_addr(text)
+        if want is None:
+            with pytest.raises(DnsError):
+                ip_to_int(text)
+        else:
+            assert ip_to_int(text) == want
+
+    @given(_ADDRESS_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_parity_with_ipaddress(self, text):
+        want = _stdlib_addr(text)
+        if want is None:
+            with pytest.raises(DnsError):
+                ip_to_int(text)
+        else:
+            assert ip_to_int(text) == want
+            # only the canonical spelling is accepted
+            assert int_to_ip(ip_to_int(text)) == text
+
+    def test_non_strings_rejected(self):
+        for value in (16909060, None, b"1.2.3.4"):
+            with pytest.raises(DnsError):
+                ip_to_int(value)
 
 
 class TestZoneAndServer:

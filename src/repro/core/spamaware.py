@@ -91,8 +91,6 @@ def build_server(sim: Simulator, options: SpamAwareOptions,
         process_limit=700 if options.fork_after_trust else 500,
         storage_backend="mfs" if options.mfs_storage else "mbox",
         fs_model=fs_model,
-        dnsbl_mode=("prefix" if options.prefix_dnsbl else "ip")
-        if blacklisted_ips is not None else None,
         dnsbl_use_trace_time=dnsbl_use_trace_time,
         discard_delivery=discard_delivery,
         costs=costs or CostModel(),

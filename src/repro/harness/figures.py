@@ -499,7 +499,7 @@ class Figure14(Experiment):
         def factory(mode):
             def make(sim):
                 cfg = ServerConfig(architecture="vanilla",
-                                   process_limit=1000, dnsbl_mode=mode,
+                                   process_limit=1000,
                                    dnsbl_use_trace_time=True,
                                    discard_delivery=True)
                 return MailServerSim(sim, cfg,

@@ -96,14 +96,6 @@ class SharedMailbox:
             raise MfsError(f"shared mail {mail_id!r} not found")
         return entry.refcount
 
-    def incref(self, mail_id: str, by: int = 1) -> int:
-        entry = self.keys.get(mail_id)
-        if entry is None:
-            raise MfsError(f"shared mail {mail_id!r} not found")
-        new = entry.refcount + by
-        self.keys.set_refcount(mail_id, new)
-        return new
-
     def decref(self, mail_id: str) -> int:
         """Drop one reference; reclaims the record at zero.
 
@@ -122,14 +114,6 @@ class SharedMailbox:
         else:
             self.keys.set_refcount(mail_id, new)
         return new
-
-    def live_bytes(self) -> int:
-        """Payload bytes still referenced (compaction planning)."""
-        total = 0
-        for entry in self.keys.live_entries():
-            _, payload = self.data.read(entry.offset, entry.mail_id)
-            total += len(payload)
-        return total
 
     def dead_bytes(self) -> int:
         """Data-file bytes belonging to reclaimed records."""

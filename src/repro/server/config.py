@@ -116,12 +116,7 @@ class ServerConfig:
     storage_backend: str = "mbox"
     #: filesystem cost model for the mailbox disk
     fs_model: FsCostModel = field(default_factory=lambda: EXT3)
-    #: whether accepted mails pass through the queue-file write (postfix
-    #: incoming queue; §6.3: temporary files stay on a regular FS)
-    queue_files: bool = True
     costs: CostModel = field(default_factory=CostModel)
-    #: DNSBL lookup strategy: None (disabled), "ip" or "prefix"
-    dnsbl_mode: str | None = None
     #: emulate DNS cache state at trace timestamps rather than replay time
     #: (§7.2's emulation methodology; used by the Fig. 14 experiment)
     dnsbl_use_trace_time: bool = False
@@ -131,9 +126,6 @@ class ServerConfig:
     #: number of parallel local-delivery agents (postfix destination
     #: concurrency); lets mailbox disk writes overlap delivery CPU
     delivery_concurrency: int = 8
-    #: pending-connection backlog before the server refuses (listen(2) queue)
-    accept_backlog: int = 1024
-    hostname: str = "mail.dest.example"
 
     def __post_init__(self):
         if self.architecture not in ("vanilla", "hybrid"):
@@ -147,8 +139,6 @@ class ServerConfig:
         if self.storage_backend not in ("mbox", "maildir", "hardlink", "mfs"):
             raise ConfigError(
                 f"unknown storage backend {self.storage_backend!r}")
-        if self.dnsbl_mode not in (None, "ip", "prefix"):
-            raise ConfigError(f"unknown dnsbl mode {self.dnsbl_mode!r}")
         if self.delivery_concurrency < 1:
             raise ConfigError("delivery_concurrency must be >= 1")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ..obs.contract import declare
 from ..obs.metrics import MetricsRegistry
-from ..sim.stats import Cdf
 
 __all__ = ["ServerMetrics"]
 
@@ -54,8 +53,7 @@ class ServerMetrics:
     to five mailboxes counts five).
     """
 
-    __slots__ = ("registry", "_fields", "_session_hist", "_lookup_hist",
-                 "session_durations", "lookup_latencies")
+    __slots__ = ("registry", "_fields", "_session_hist", "_lookup_hist")
 
     def __init__(self, registry: MetricsRegistry | None = None):
         reg = registry if registry is not None else MetricsRegistry()
@@ -68,17 +66,12 @@ class ServerMetrics:
         self._fields = fields
         self._session_hist = declare(reg, "server.session.seconds")
         self._lookup_hist = declare(reg, "server.dnsbl.lookup.seconds")
-        #: exact sample sets behind the histograms, for CDF-grade plots
-        self.session_durations = Cdf()
-        self.lookup_latencies = Cdf()
 
     # -- distribution observations ----------------------------------------
     def observe_session(self, duration: float) -> None:
-        self.session_durations.add(duration)
         self._session_hist.observe(duration)
 
     def observe_lookup(self, latency: float) -> None:
-        self.lookup_latencies.add(latency)
         self._lookup_hist.observe(latency)
 
     # -- derived rates ------------------------------------------------------
@@ -89,10 +82,6 @@ class ServerMetrics:
     def delivery_throughput(self) -> float:
         """Mailbox writes per second (the Figs. 10/11 y-axis)."""
         return self.mailbox_writes / self.run_time if self.run_time else 0.0
-
-    def connection_throughput(self) -> float:
-        return (self.connections_finished / self.run_time
-                if self.run_time else 0.0)
 
     def dnsbl_query_fraction(self) -> float:
         """Fraction of lookups that went to the network (Fig. 15)."""

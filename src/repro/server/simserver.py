@@ -48,6 +48,8 @@ __all__ = ["MailServerSim"]
 MASTER_PID = 0
 DELIVERY_PID = 1
 _FIRST_WORKER_PID = 100
+#: pending-connection backlog before the server refuses (listen(2) queue)
+ACCEPT_BACKLOG = 1024
 
 
 class _Worker:
@@ -108,7 +110,7 @@ class MailServerSim:
         self._rr_index = 0
         if config.architecture == "vanilla":
             # connections waiting for an smtpd process (the listen backlog)
-            self._backlog: Store = Store(sim, capacity=config.accept_backlog,
+            self._backlog: Store = Store(sim, capacity=ACCEPT_BACKLOG,
                                          name="backlog")
 
     # ------------------------------------------------------------------ API --
@@ -399,10 +401,9 @@ class MailServerSim:
         yield from self._rtt()                     # 354 → body
         yield from self.cpu.compute(
             pid, costs.data_fixed_cost + mail.size * costs.data_per_byte)
-        if self.config.queue_files:
-            for op in plan_queue_write(mail.size):
-                yield from self.disk.io(self.config.fs_model.cost(op),
-                                        op.nbytes)
+        # postfix incoming queue; §6.3: temporary files stay on a regular FS
+        for op in plan_queue_write(mail.size):
+            yield from self.disk.io(self.config.fs_model.cost(op), op.nbytes)
         yield from self._rtt()                     # 250 queued
         self.metrics.mails_accepted += 1
         if self._rec is not None:

@@ -6,16 +6,14 @@ deterministic RNG streams (:mod:`repro.sim.random`) and metric collectors
 (:mod:`repro.sim.stats`).
 """
 
-from .core import (AllOf, AnyOf, Event, Interrupt, Process, SimulationError,
-                   Simulator, Timeout)
+from .core import Event, Process, SimulationError, Simulator, Timeout
 from .random import RngStream, SeedSequence
 from .resources import CPU, Disk, Request, Resource, Store
-from .stats import Cdf, Counter, KernelStats, TimeSeries, summarize
+from .stats import Cdf, KernelStats, TimeSeries
 
 __all__ = [
-    "AllOf", "AnyOf", "Event", "Interrupt", "Process", "SimulationError",
-    "Simulator", "Timeout",
+    "Event", "Process", "SimulationError", "Simulator", "Timeout",
     "RngStream", "SeedSequence",
     "CPU", "Disk", "Request", "Resource", "Store",
-    "Cdf", "Counter", "KernelStats", "TimeSeries", "summarize",
+    "Cdf", "KernelStats", "TimeSeries",
 ]

@@ -34,11 +34,10 @@ import heapq
 from collections import deque
 from typing import Any, Optional
 
-from .core import Event, Interrupt, SimulationError, Simulator
+from .core import Event, SimulationError, Simulator
 
 __all__ = ["Request", "Resource", "Store", "CPU", "Disk"]
 
-_PENDING = Event._PENDING
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
@@ -47,7 +46,7 @@ class Request(Event):
     """The event returned by :meth:`Resource.request`.
 
     Succeeds when the requesting process holds one unit of the resource.
-    Cancel a queued request with :meth:`cancel` (e.g. on interrupt).
+    Withdraw a queued request with :meth:`cancel`.
     """
 
     __slots__ = ("resource", "cancelled", "priority")
@@ -254,25 +253,6 @@ class _SingleServer:
         """Start the next queued slice, or leave the server idle."""
         raise NotImplementedError
 
-    def _withdraw(self, entry: tuple) -> None:
-        """Take a waiting slice's ``entry`` out of the queue."""
-        raise NotImplementedError
-
-    def _interrupted(self, event: Event, entry: tuple) -> None:
-        """Clean up after the process of a slice was interrupted.
-
-        A slice still in the queue is withdrawn and never charged.  A
-        running slice keeps the server busy until it ends, and then hands
-        over as if its process had resumed.
-        """
-        if event._value is _PENDING:
-            self._withdraw(entry)
-        else:
-            event.add_callback(self._slice_ended)
-
-    def _slice_ended(self, _event: Event) -> None:
-        self._hand_over()
-
     @property
     def utilisation(self) -> float:
         """Fraction of elapsed simulated time the server was busy."""
@@ -320,8 +300,7 @@ class CPU(_SingleServer):
         if self._busy:
             seq = self._seq = self._seq + 1
             event = Event(self.sim)
-            entry = (priority, seq, pid, work, event)
-            _heappush(self._queue, entry)
+            _heappush(self._queue, (priority, seq, pid, work, event))
         else:
             self._busy = True
             if self._last_pid != pid:
@@ -330,12 +309,7 @@ class CPU(_SingleServer):
                 self._last_pid = pid
             self.busy_time += work
             event = self.sim.timeout(work)
-            entry = None
-        try:
-            yield event
-        except Interrupt:
-            self._interrupted(event, entry)
-            raise
+        yield event
         self._hand_over()
 
     def _hand_over(self) -> None:
@@ -351,10 +325,6 @@ class CPU(_SingleServer):
         self.busy_time += cost
         event._value = None
         self.sim._schedule(event, cost)
-
-    def _withdraw(self, entry: tuple) -> None:
-        self._queue.remove(entry)
-        heapq.heapify(self._queue)
 
     def fork(self, pid: int):
         """Process-body generator: charge for an OS fork by ``pid``."""
@@ -382,20 +352,14 @@ class Disk(_SingleServer):
             raise ValueError(f"negative disk service time: {service_time!r}")
         if self._busy:
             event = Event(self.sim)
-            entry = (service_time, nbytes, event)
-            self._queue.append(entry)
+            self._queue.append((service_time, nbytes, event))
         else:
             self._busy = True
             self.ops += 1
             self.bytes_written += nbytes
             self.busy_time += service_time
             event = self.sim.timeout(service_time)
-            entry = None
-        try:
-            yield event
-        except Interrupt:
-            self._interrupted(event, entry)
-            raise
+        yield event
         self._hand_over()
 
     def _hand_over(self) -> None:
@@ -409,6 +373,3 @@ class Disk(_SingleServer):
         self.busy_time += service_time
         event._value = None
         self.sim._schedule(event, service_time)
-
-    def _withdraw(self, entry: tuple) -> None:
-        self._queue.remove(entry)

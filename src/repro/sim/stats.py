@@ -1,4 +1,4 @@
-"""Metric collection: counters, time series, and empirical CDFs.
+"""Metric collection: kernel counters, time series, and empirical CDFs.
 
 The paper's evaluation reports two kinds of data: *series* (throughput vs.
 bounce ratio / recipients / offered load) and *CDFs* (recipients per mail,
@@ -12,9 +12,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
-__all__ = ["Counter", "Cdf", "TimeSeries", "KernelStats", "summarize"]
+__all__ = ["Cdf", "TimeSeries", "KernelStats"]
 
 
 @dataclass
@@ -59,29 +59,6 @@ class KernelStats:
                 f"wall={self.wall_seconds:.3f}s, "
                 f"{self.events_per_sec:,.0f} ev/s, "
                 f"depth_peak={self.queue_depth_peak})")
-
-
-class Counter:
-    """A named bag of monotonically increasing counters."""
-
-    def __init__(self):
-        self._counts: dict[str, float] = {}
-
-    def add(self, name: str, amount: float = 1.0) -> None:
-        self._counts[name] = self._counts.get(name, 0.0) + amount
-
-    def get(self, name: str) -> float:
-        return self._counts.get(name, 0.0)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._counts)
-
-    def __getitem__(self, name: str) -> float:
-        return self.get(name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counts.items()))
-        return f"Counter({inner})"
 
 
 class Cdf:
@@ -202,22 +179,3 @@ class TimeSeries:
             raise ValueError(f"no samples in [{t0}, {t1})")
         return sum(chosen) / len(chosen)
 
-
-def summarize(values: Sequence[float]) -> dict[str, float]:
-    """Basic summary statistics of a sample as a plain dict."""
-    if not values:
-        raise ValueError("cannot summarise an empty sample")
-    ordered = sorted(values)
-    n = len(ordered)
-    mean = sum(ordered) / n
-    var = sum((v - mean) ** 2 for v in ordered) / n
-    return {
-        "n": float(n),
-        "mean": mean,
-        "std": math.sqrt(var),
-        "min": ordered[0],
-        "p50": ordered[n // 2],
-        "p90": ordered[min(n - 1, int(0.9 * n))],
-        "p99": ordered[min(n - 1, int(0.99 * n))],
-        "max": ordered[-1],
-    }

@@ -77,10 +77,6 @@ class MailMessage:
         return len(self.body)
 
     @property
-    def recipient_count(self) -> int:
-        return len(self.recipients)
-
-    @property
     def is_multi_recipient(self) -> bool:
         """Whether this mail goes to MFS's shared mailbox (§6.1)."""
         return len(self.recipients) > 1

@@ -71,14 +71,6 @@ class MailboxStore(abc.ABC):
         """Every mail in the mailbox, in order."""
         return [self.read(mailbox, mid) for mid in self.list_mailbox(mailbox)]
 
-    def mailbox_size(self, mailbox: str) -> int:
-        return len(self.list_mailbox(mailbox))
-
     def require_present(self, mailbox: str, mail_id: str) -> None:
         if mail_id not in self.list_mailbox(mailbox):
             raise StorageError(f"mail {mail_id!r} not in mailbox {mailbox!r}")
-
-
-def payload_for(message: MailMessage) -> bytes:
-    """The canonical on-disk payload of a message."""
-    return message.serialized()

@@ -181,10 +181,6 @@ class Connection:
     def delivered_mails(self) -> list[MailAttempt]:
         return [m for m in self.mails if not m.is_bounce]
 
-    @property
-    def total_recipients(self) -> int:
-        return sum(len(m.recipients) for m in self.mails)
-
 
 class Trace:
     """An ordered collection of connections with derived statistics."""

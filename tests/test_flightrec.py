@@ -150,8 +150,7 @@ class TestEventContract:
                     # a short TTL on the cycled trace's repeat lookups
                     # makes cache hits and expiry drops both occur
                     config = ServerConfig(architecture=arch,
-                                          process_limit=5,
-                                          dnsbl_mode="prefix")
+                                          process_limit=5)
                     bank = make_dnsbl_bank(listed, "prefix", ttl=0.5,
                                            n_providers=2)
                     return MailServerSim(sim, config, resolver=bank,

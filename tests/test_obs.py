@@ -189,7 +189,6 @@ def _cut_dnsbl_run():
         for arch in ("vanilla", "hybrid"):
             def factory(sim, arch=arch):
                 config = ServerConfig(architecture=arch, process_limit=8,
-                                      dnsbl_mode="ip",
                                       dnsbl_use_trace_time=False)
                 bank = make_dnsbl_bank(listed, "ip", n_providers=2)
                 return MailServerSim(sim, config, resolver=bank,
@@ -263,8 +262,7 @@ class TestReconciliation:
         zone_ips = {c.client_ip for c in trace}
         with capture(context={"exp": "unit"}) as tr:
             sim = Simulator()
-            config = ServerConfig(architecture="vanilla", process_limit=20,
-                                  dnsbl_mode="ip")
+            config = ServerConfig(architecture="vanilla", process_limit=20)
             server = MailServerSim(sim, config,
                                    resolver=make_dnsbl_bank(zone_ips, "ip"))
             client = ClosedLoopClient(sim, server, trace, concurrency=10)

@@ -27,8 +27,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ServerConfig(storage_backend="zfs")
         with pytest.raises(ConfigError):
-            ServerConfig(dnsbl_mode="both")
-        with pytest.raises(ConfigError):
             ServerConfig(delivery_concurrency=0)
 
     def test_factory_presets(self):
@@ -132,7 +130,7 @@ class TestDnsblIntegration:
     def _run(self, mode, trace, zone_ips):
         def factory(sim):
             config = ServerConfig(architecture="vanilla", process_limit=100,
-                                  dnsbl_mode=mode, dnsbl_use_trace_time=True)
+                                  dnsbl_use_trace_time=True)
             return MailServerSim(sim, config,
                                  resolver=make_dnsbl_bank(zone_ips, mode))
         return run_closed(trace, factory, concurrency=50)
@@ -154,7 +152,7 @@ class TestDnsblIntegration:
         sim = Simulator()
         trace = small_trace(0.0, n=40)
         zone_ips = {c.client_ip for c in trace}
-        config = ServerConfig(architecture="vanilla", dnsbl_mode="ip")
+        config = ServerConfig(architecture="vanilla")
         server = MailServerSim(sim, config,
                                resolver=make_dnsbl_bank(zone_ips, "ip"),
                                reject_blacklisted=True)

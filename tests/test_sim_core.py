@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.sim import (AllOf, AnyOf, Interrupt, SimulationError, Simulator)
+from repro.sim import SimulationError, Simulator
 
 
 def test_timeouts_fire_in_order(sim):
@@ -128,12 +128,6 @@ def test_event_succeed_once_only(sim):
         event.succeed(2)
 
 
-def test_event_fail_requires_exception(sim):
-    event = sim.event()
-    with pytest.raises(TypeError):
-        event.fail("not an exception")
-
-
 def test_manual_event_wakes_waiter(sim):
     log = []
     event = sim.event()
@@ -150,97 +144,6 @@ def test_manual_event_wakes_waiter(sim):
     sim.process(firer())
     sim.run()
     assert log == [(3.0, "go")]
-
-
-def test_any_of_first_wins(sim):
-    log = []
-
-    def proc():
-        result = yield sim.any_of([sim.timeout(5.0, "slow"),
-                                   sim.timeout(1.0, "fast")])
-        log.append((sim.now, sorted(result.values())))
-
-    sim.process(proc())
-    sim.run()
-    assert log == [(1.0, ["fast"])]
-
-
-def test_all_of_waits_for_all(sim):
-    log = []
-
-    def proc():
-        result = yield sim.all_of([sim.timeout(5.0, "slow"),
-                                   sim.timeout(1.0, "fast")])
-        log.append((sim.now, sorted(result.values())))
-
-    sim.process(proc())
-    sim.run()
-    assert log == [(5.0, ["fast", "slow"])]
-
-
-def test_empty_all_of_fires_immediately(sim):
-    log = []
-
-    def proc():
-        yield sim.all_of([])
-        log.append(sim.now)
-
-    sim.process(proc())
-    sim.run()
-    assert log == [0.0]
-
-
-def test_interrupt_delivers_cause(sim):
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((sim.now, interrupt.cause))
-
-    def attacker(target):
-        yield sim.timeout(2.0)
-        target.interrupt("wake up")
-
-    target = sim.process(victim())
-    sim.process(attacker(target))
-    sim.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupt_finished_process_is_error(sim):
-    def quick():
-        yield sim.timeout(1.0)
-
-    target = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        target.interrupt()
-
-
-def test_stale_wakeup_after_interrupt_is_ignored(sim):
-    """The original target firing later must not resume the process twice."""
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(10.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        log.append(sim.now)
-
-    def attacker(target):
-        yield sim.timeout(2.0)
-        target.interrupt()
-
-    target = sim.process(victim())
-    sim.process(attacker(target))
-    sim.run()
-    # interrupted at t=2, then waits 1 more second; the stale t=10 timeout
-    # must not re-fire the process
-    assert log == [3.0]
 
 
 def test_peek_reports_next_event_time(sim):

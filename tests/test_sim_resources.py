@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (CPU, Disk, Interrupt, Resource, SimulationError,
-                       Simulator, Store)
+from repro.sim import (CPU, Disk, Resource, SimulationError, Simulator,
+                       Store)
 
 
 class TestResource:
@@ -298,73 +298,6 @@ class TestSliceOrder:
         stats = _fig8_shaped(n_clients, steps).kernel_stats()
         assert stats.events == n_clients * (2 * steps + 2) == 48_800
         assert stats.steps == n_clients * (2 * steps + 1)
-
-
-def _cpu_server(sim):
-    cpu = CPU(sim, context_switch_cost=0.0)
-    return cpu, lambda pid, work: cpu.compute(pid, work)
-
-
-def _disk_server(sim):
-    disk = Disk(sim)
-    return disk, lambda pid, work: disk.io(work, nbytes=10)
-
-
-@pytest.mark.parametrize("make_server", [_cpu_server, _disk_server],
-                         ids=["cpu", "disk"])
-class TestInterruptedSlice:
-    """An interrupted slice never wedges the server."""
-
-    @staticmethod
-    def _users(sim, run, log, specs):
-        def user(pid, start, work):
-            yield sim.timeout(start)
-            try:
-                yield from run(pid, work)
-            except Interrupt:
-                log.append((sim.now, pid, "interrupted"))
-            else:
-                log.append((sim.now, pid, "done"))
-
-        return [sim.process(user(*spec)) for spec in specs]
-
-    @staticmethod
-    def _interrupt_at(sim, process, when):
-        def interrupter():
-            yield sim.timeout(when)
-            process.interrupt()
-
-        sim.process(interrupter())
-
-    @staticmethod
-    def _slices(server):
-        return getattr(server, "ops", None) or server.context_switches
-
-    def test_queued_slice_is_withdrawn_uncharged(self, sim, make_server):
-        server, run = make_server(sim)
-        log = []
-        _, queued, _ = self._users(sim, run, log, [
-            (1, 0.0, 1.0), (2, 0.1, 1.0), (3, 0.2, 1.0)])
-        self._interrupt_at(sim, queued, 0.5)
-        sim.run()
-        assert log == [(0.5, 2, "interrupted"), (1.0, 1, "done"),
-                       (2.0, 3, "done")]
-        assert server.busy_time == 2.0
-        assert self._slices(server) == 2
-
-    def test_running_slice_holds_server_until_its_end(self, sim, make_server):
-        server, run = make_server(sim)
-        log = []
-        running, _, _ = self._users(sim, run, log, [
-            (1, 0.0, 1.0), (2, 0.1, 1.0), (3, 3.0, 1.0)])
-        self._interrupt_at(sim, running, 0.5)
-        sim.run()
-        # pid 2 starts only once pid 1's slice ends at 1.0; pid 3 then
-        # finds the server idle again
-        assert log == [(0.5, 1, "interrupted"), (2.0, 2, "done"),
-                       (4.0, 3, "done")]
-        assert server.busy_time == 3.0
-        assert self._slices(server) == 3
 
 
 # -- equivalence with the request/grant/release model -------------------------

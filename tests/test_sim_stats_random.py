@@ -6,18 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Cdf, Counter, RngStream, SeedSequence, TimeSeries
-from repro.sim.stats import summarize
-
-
-class TestCounter:
-    def test_add_and_get(self):
-        counter = Counter()
-        counter.add("x")
-        counter.add("x", 2.5)
-        assert counter["x"] == 3.5
-        assert counter["missing"] == 0.0
-        assert counter.as_dict() == {"x": 3.5}
+from repro.sim import Cdf, RngStream, SeedSequence, TimeSeries
 
 
 class TestCdf:
@@ -79,17 +68,6 @@ class TestTimeSeries:
         assert series.window_mean(0, 5) == 2.0
         with pytest.raises(ValueError):
             series.window_mean(100, 200)
-
-
-class TestSummarize:
-    def test_basic(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s["n"] == 4 and s["mean"] == 2.5
-        assert s["min"] == 1.0 and s["max"] == 4.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
 
 
 class TestRngStreams:

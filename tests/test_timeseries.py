@@ -136,8 +136,7 @@ class TestSeriesReport:
         assert "sampled counters" in text
 
     def test_report_shows_dnsbl_cache_ramp(self):
-        config = ServerConfig(architecture="vanilla", process_limit=20,
-                              dnsbl_mode="ip")
+        config = ServerConfig(architecture="vanilla", process_limit=20)
         _, records = _sampled_server(
             n=120,
             make_resolver=lambda trace: make_dnsbl_bank(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core import make_dnsbl_bank
 from repro.dnsbl import (STRATEGIES, DnsMessage, DnsblBank, DnsblResolver,
                          DnsblServer, DnsblZone, IpStrategy, ListingCode,
+                         LookupResult,
                          PROVIDERS, PrefixStrategy, QTYPE_A, QTYPE_AAAA,
                          RCODE_NXDOMAIN, RCODE_NOERROR, Question,
                          ResourceRecord, TtlCache, bitmap_bit_for_ip,
@@ -422,6 +423,41 @@ class TestWireDirectEquivalence:
             by_str = make_resolver(STRATEGIES[name]()).lookup(ip, 0.0)
             assert by_int == by_str
             assert by_int.ip == ip
+
+
+def _aggregate_by_definition(addr, results):
+    """A bank result from its providers' results, field by field."""
+    return LookupResult(
+        addr=addr,
+        listed=any(r.listed for r in results),
+        cache_hit=all(r.cache_hit for r in results),
+        latency=max(r.latency for r in results),
+        queried_name=next((r.queried_name for r in results
+                           if r.queried_name), ""),
+        queries_issued=sum(r.queries_issued for r in results))
+
+
+class TestBankAggregate:
+    """A bank lookup is any/all/max/first/sum over its providers."""
+
+    _LISTED = [0x0A000000 | i for i in range(0, 256, 3)] + [0xC0A80105]
+
+    @given(lookups=st.lists(st.tuples(st.one_of(_NEAR, _EDGE, _ANY),
+                                      st.floats(0.0, 4.0)),
+                            min_size=1, max_size=40),
+           name=st.sampled_from(sorted(STRATEGIES)))
+    @settings(max_examples=100, deadline=None)
+    def test_bank_result_matches_provider_definition(self, lookups, name):
+        # two banks with the same seeds draw the same latencies; the
+        # reference asks its providers one by one
+        bank = make_dnsbl_bank(self._LISTED, name, ttl=5.0)
+        reference = make_dnsbl_bank(self._LISTED, name, ttl=5.0)
+        clock = 0.0
+        for addr, step in lookups:
+            clock += step            # steps past the TTL expire entries
+            results = [r.lookup(addr, clock) for r in reference.resolvers]
+            assert (bank.lookup(addr, clock)
+                    == _aggregate_by_definition(addr, results))
 
 
 class TestRecorderKeys:

@@ -113,9 +113,8 @@ class TtlCache:
                 self._c_expirations.inc()
                 self._c_misses.inc()
             if self._rec is not None:
-                self._rec.emit("dnsbl.drop", now,
-                               attrs={"key": self.key_name(key),
-                                      "reason": "expired"})
+                self._rec.emit("dnsbl.drop", now, 0, 0,
+                               (self.key_name(key), "expired"))
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
@@ -141,9 +140,8 @@ class TtlCache:
             if self._c_hits is not None:
                 self._c_evictions.inc()
             if self._rec is not None:
-                self._rec.emit("dnsbl.drop", now,
-                               attrs={"key": self.key_name(evicted),
-                                      "reason": "evicted"})
+                self._rec.emit("dnsbl.drop", now, 0, 0,
+                               (self.key_name(evicted), "evicted"))
 
     def purge_expired(self, now: float) -> int:
         """Drop all expired entries; returns how many were dropped."""
@@ -152,9 +150,8 @@ class TtlCache:
         for key in expired:
             del self._entries[key]
             if self._rec is not None:
-                self._rec.emit("dnsbl.drop", now,
-                               attrs={"key": self.key_name(key),
-                                      "reason": "expired"})
+                self._rec.emit("dnsbl.drop", now, 0, 0,
+                               (self.key_name(key), "expired"))
         self.stats.expirations += len(expired)
         if expired and self._c_hits is not None:
             self._c_expirations.inc(len(expired))

@@ -41,7 +41,7 @@ __all__ = ["LookupResult", "DnsblResolver", "DnsblBank", "IpStrategy",
            "PrefixStrategy", "STRATEGIES"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LookupResult:
     """Outcome of one blacklist lookup."""
 
@@ -201,10 +201,8 @@ class DnsblResolver:
         if cached is not None:
             listed = strategy.is_listed(ip, cached.value)
             if self._rec is not None:
-                self._rec.emit("dnsbl.lookup", now,
-                               attrs={"ip": int_to_ip(ip),
-                                      "key": self._event_key(key),
-                                      "hit": True, "listed": listed})
+                self._rec.emit("dnsbl.lookup", now, 0, 0,
+                               (ip, self._event_key(key), True, listed))
             return LookupResult(ip, listed, True, 0.0)
         self.queries_sent += 1
         if self._c_wire is not None:
@@ -225,12 +223,10 @@ class DnsblResolver:
             # listing code, flattened here to its 0/1 listed meaning
             authoritative = (int(value) if strategy.name == "prefix"
                              else int(listed))
-            self._rec.emit("dnsbl.fill", now,
-                           attrs={"key": event_key, "value": authoritative,
-                                  "strategy": strategy.name})
-            self._rec.emit("dnsbl.lookup", now,
-                           attrs={"ip": int_to_ip(ip), "key": event_key,
-                                  "hit": False, "listed": listed})
+            self._rec.emit("dnsbl.fill", now, 0, 0,
+                           (event_key, authoritative, strategy.name))
+            self._rec.emit("dnsbl.lookup", now, 0, 0,
+                           (ip, event_key, False, listed))
         return LookupResult(ip, listed, False, latency,
                             strategy.query_name(ip, self.server.zone.origin),
                             1)
@@ -282,12 +278,21 @@ class DnsblBank:
         """
         if ip.__class__ is not int:
             ip = ip_to_int(ip)
-        results = [r.lookup(ip, now) for r in self.resolvers]
-        return LookupResult(
-            addr=ip,
-            listed=any(r.listed for r in results),
-            cache_hit=all(r.cache_hit for r in results),
-            latency=max(r.latency for r in results),
-            queried_name=next((r.queried_name for r in results
-                               if r.queried_name), ""),
-            queries_issued=sum(r.queries_issued for r in results))
+        listed = False
+        cache_hit = True
+        latency = float("-inf")
+        queried_name = ""
+        queries = 0
+        for resolver in self.resolvers:
+            result = resolver.lookup(ip, now)
+            if result.listed:
+                listed = True
+            if not result.cache_hit:
+                cache_hit = False
+            if result.latency > latency:
+                latency = result.latency
+            if not queried_name:
+                queried_name = result.queried_name
+            queries += result.queries_issued
+        return LookupResult(ip, listed, cache_hit, latency, queried_name,
+                            queries)

@@ -44,6 +44,7 @@ import traceback as _traceback
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..obs.flightrec import TAIL_EVENTS
 from ..obs.trace import capture
 from .cache import ResultCache
 from .experiment import ExperimentResult
@@ -93,10 +94,6 @@ class _Failure:
     message: str
     traceback: str
     recorder_tail: list = field(default_factory=list)
-
-
-#: ring-buffer events shipped back with a worker crash
-CRASH_TAIL_EVENTS = 32
 
 
 def _run_one(task: tuple, on_sample=None) -> tuple:
@@ -151,8 +148,7 @@ def _run_one(task: tuple, on_sample=None) -> tuple:
         tail: list = []
         if tr is not None and tr.recorder is not None:
             # flush the ring so the post-mortem starts with context
-            tail = tr.recorder.tail(CRASH_TAIL_EVENTS,
-                                    context={"exp": exp_id})
+            tail = tr.recorder.tail(TAIL_EVENTS, context={"exp": exp_id})
         failure = _Failure(exp_id, f"{type(exc).__name__}: {exc}",
                            _traceback.format_exc(), recorder_tail=tail)
         return exp_id, shard, failure, time.perf_counter() - start, \

@@ -76,7 +76,7 @@ class MfsStore(MailboxStore):
         self._store_id = (self._rec.register_store()
                           if self._rec is not None else 0)
 
-    def _emit(self, kind: str, attrs: dict) -> None:
+    def _emit(self, kind: str, attrs: tuple) -> None:
         self._rec.emit(kind, 0.0, 0, self._store_id, attrs)
 
     # -- handle management ----------------------------------------------------
@@ -88,7 +88,7 @@ class MfsStore(MailboxStore):
                               mode=mode)
             self._open[mailbox] = handle
             if self._rec is not None:
-                self._emit("mfs.open", {"mailbox": mailbox})
+                self._emit("mfs.open", (mailbox,))
         return handle
 
     def close(self) -> None:
@@ -120,8 +120,7 @@ class MfsStore(MailboxStore):
             handle = self.open_mailbox(mailboxes[0])
             handle.write(message.mail_id, payload)
             if self._rec is not None:
-                self._emit("mfs.write", {"mailbox": mailboxes[0],
-                                         "bytes": len(payload)})
+                self._emit("mfs.write", (mailboxes[0], len(payload)))
             return [
                 IoOp(IoKind.APPEND, DATA_HEADER_SIZE + len(payload),
                      target="mailbox_data"),
@@ -165,13 +164,9 @@ class MfsStore(MailboxStore):
             # refcount watchdog can reconcile without touching the store
             refcount = self.shared.keys.get(mail_id).refcount
             self._emit("mfs.nwrite",
-                       {"mail_id": mail_id, "rcpts": len(mailboxes),
-                        "bytes": len(payload), "dedup": was_present,
-                        "refcount": refcount,
-                        "store_bytes": self.shared.data.size()})
-            self._emit("mfs.refcount",
-                       {"mail_id": mail_id, "delta": len(mailboxes),
-                        "refcount": refcount})
+                       (mail_id, len(mailboxes), len(payload), was_present,
+                        refcount, self.shared.data.size()))
+            self._emit("mfs.refcount", (mail_id, len(mailboxes), refcount))
         return ops
 
     def list_mailbox(self, mailbox: str) -> list[str]:
@@ -200,12 +195,10 @@ class MfsStore(MailboxStore):
             ops.append(IoOp(IoKind.UPDATE, KEY_RECORD_SIZE,
                             target="shmailbox_key"))
         if self._rec is not None:
-            self._emit("mfs.delete", {"mailbox": mailbox, "mail_id": mail_id,
-                                      "shared": entry.is_shared})
+            self._emit("mfs.delete", (mailbox, mail_id, entry.is_shared))
             if entry.is_shared:
                 self._emit("mfs.refcount",
-                           {"mail_id": mail_id, "delta": -1,
-                            "refcount": old_refcount - 1})
+                           (mail_id, -1, old_refcount - 1))
         return ops
 
     # -- statistics ----------------------------------------------------------

@@ -23,12 +23,11 @@ False
 >>> with capture(context={"exp": "demo"}) as tr:
 ...     run = tr.begin_run(arch="hybrid")
 ...     tr.recorder.emit("envelope.done", 1.5, run, conn=1,
-...                      attrs={"t0": 0.0, "mode": "event",
-...                             "outcome": "trusted"})
+...                      attrs=(0.0, "event", "trusted"))
 ...     tr.span_count
 1
->>> next(tr.records())["type"]
-'meta'
+>>> [r["attrs"] for r in tr.records() if r["type"] == "span"]
+[{'mode': 'event', 'outcome': 'trusted'}]
 """
 
 from .contract import (BENCH_FIELDS, EVENTS, INVARIANTS, METRICS,

@@ -18,6 +18,10 @@ Four cheap, always-on laws (catalogued in
   queued mails at every point in the stream (Little's-law reconciliation:
   arrivals = departures + in-flight, with in-flight ≥ 0).
 
+The handlers take recorder event tuples, one per kind a law reads
+(:attr:`InvariantEngine.sinks`); :func:`check_events` replays recorded
+dicts through the same handlers.
+
 A broken law raises nothing and aborts nothing: it appends a typed
 :class:`InvariantViolation` carrying the triggering event and the
 recorder's ring-buffer context, and flags the (invariant, subject) pair so
@@ -30,8 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .contract import INVARIANTS
-from .flightrec import FlightRecorder, event_as_dict, format_event
+from ..dnsbl.bitmap import int_to_ip
+from .contract import EVENTS, INVARIANTS
+from .flightrec import (FlightRecorder, event_as_dict, event_from_dict,
+                        format_event)
 from .metrics import ObsError
 
 __all__ = ["InvariantViolation", "InvariantEngine", "check_events",
@@ -58,16 +64,6 @@ class InvariantViolation:
         return f"[{self.invariant}]{where}: {self.message}"
 
 
-class _ConnState:
-    """Per-connection ledger entry (popped at conn.close)."""
-
-    __slots__ = ("forks", "delegates")
-
-    def __init__(self):
-        self.forks = 0
-        self.delegates = 0
-
-
 class InvariantEngine:
     """Evaluates the invariant catalogue against a live event stream."""
 
@@ -77,9 +73,9 @@ class InvariantEngine:
         self.context_events = context_events
         self.violations: list[InvariantViolation] = []
         self._flagged: set = set()
-        # fork ledger: run -> architecture; (run, conn) -> _ConnState
+        # fork ledger: run -> arch; (run, conn) -> [forks, delegations]
         self._arch: dict[int, str] = {}
-        self._conns: dict[tuple, _ConnState] = {}
+        self._conns: dict[tuple, list] = {}
         # queue conservation: per run (opened, closed, queued, delivered)
         self._opened: dict[int, int] = {}
         self._closed: dict[int, int] = {}
@@ -113,12 +109,13 @@ class InvariantEngine:
             context=context))
 
     # -- stream interface -------------------------------------------------
-    def observe(self, event: tuple) -> None:
-        """Feed one recorder event tuple through every applicable check."""
-        kind = event[4]
-        handler = self._HANDLERS.get(kind)
-        if handler is not None:
-            handler(self, event)
+    @property
+    def sinks(self) -> dict:
+        """Event kind -> its handler ``_on_<kind>``, for the kinds a law
+        reads (``conn.open`` -> ``_on_conn_open``)."""
+        names = {kind: "_on_" + kind.replace(".", "_") for kind in EVENTS}
+        return {kind: getattr(self, name) for kind, name in names.items()
+                if hasattr(self, name)}
 
     def finish(self) -> list[InvariantViolation]:
         """End-of-stream conservation checks; returns all violations."""
@@ -144,41 +141,36 @@ class InvariantEngine:
 
     # -- per-kind handlers ------------------------------------------------
     def _on_run_begin(self, event: tuple) -> None:
-        self._arch[event[2]] = event[5]["arch"]
+        self._arch[event[2]] = event[5][0]
 
     def _on_conn_open(self, event: tuple) -> None:
         run, conn = event[2], event[3]
         self._opened[run] = self._opened.get(run, 0) + 1
-        self._conns[(run, conn)] = _ConnState()
+        self._conns[(run, conn)] = [0, 0]
 
-    def _on_fork(self, event: tuple) -> None:
+    def _on_handoff(self, slot: int, banned_arch: str, banned: str,
+                    verb: str, event: tuple) -> None:
+        """A fork (slot 0) or delegation (slot 1): one at most, none under
+        ``banned_arch``."""
         run, conn = event[2], event[3]
         state = self._conns.get((run, conn))
         if state is None:
             return
-        state.forks += 1
-        if self._arch.get(run) == "hybrid":
+        state[slot] += 1
+        if self._arch.get(run) == banned_arch:
             self._violate("fork-ledger", (run, conn),
-                          f"hybrid connection {conn} forked — "
-                          "fork-after-trust must reuse its pool", event)
-        elif state.forks > 1:
+                          f"{banned_arch} connection {conn} {banned}", event)
+        elif state[slot] > 1:
             self._violate("fork-ledger", (run, conn),
-                          f"connection {conn} forked {state.forks} times",
+                          f"connection {conn} {verb} {state[slot]} times",
                           event)
 
+    def _on_fork(self, event: tuple) -> None:
+        self._on_handoff(0, "hybrid", "forked — fork-after-trust must reuse "
+                         "its pool", "forked", event)
+
     def _on_delegate(self, event: tuple) -> None:
-        run, conn = event[2], event[3]
-        state = self._conns.get((run, conn))
-        if state is None:
-            return
-        state.delegates += 1
-        if self._arch.get(run) == "vanilla":
-            self._violate("fork-ledger", (run, conn),
-                          f"vanilla connection {conn} was delegated", event)
-        elif state.delegates > 1:
-            self._violate("fork-ledger", (run, conn),
-                          f"connection {conn} delegated "
-                          f"{state.delegates} times", event)
+        self._on_handoff(1, "vanilla", "was delegated", "delegated", event)
 
     def _on_conn_close(self, event: tuple) -> None:
         run, conn = event[2], event[3]
@@ -191,14 +183,14 @@ class InvariantEngine:
         state = self._conns.pop((run, conn), None)
         if state is None:
             return
-        outcome = (event[5] or {}).get("outcome")
+        outcome = event[5][1]
         if self._arch.get(run) == "hybrid":
             expected = 1 if outcome == "accepted" else 0
-            if state.delegates != expected:
+            if state[1] != expected:
                 self._violate(
                     "fork-ledger", (run, conn),
                     f"hybrid connection {conn} ended {outcome!r} with "
-                    f"{state.delegates} delegation(s), expected {expected}",
+                    f"{state[1]} delegation(s), expected {expected}",
                     event)
 
     def _on_data(self, event: tuple) -> None:
@@ -215,97 +207,77 @@ class InvariantEngine:
                           "were queued", event)
 
     def _on_dnsbl_fill(self, event: tuple) -> None:
-        attrs = event[5]
-        self._shadow[attrs["key"]] = (attrs["strategy"], attrs["value"])
+        key, value, strategy = event[5]
+        self._shadow[key] = (strategy, value)
 
     def _on_dnsbl_lookup(self, event: tuple) -> None:
-        attrs = event[5]
-        if not attrs["hit"]:
+        ip, key, hit, listed = event[5]
+        if not hit:
             return
-        shadow = self._shadow.get(attrs["key"])
+        shadow = self._shadow.get(key)
         if shadow is None:
             return                 # filled before this capture began
         strategy, value = shadow
         if strategy == "prefix":
-            bit = _octet(attrs["ip"]) % 128
-            expected = bool((int(value) >> (127 - bit)) & 1)
+            expected = bool((int(value) >> (127 - (ip & 127))) & 1)
         else:
             expected = bool(value)
-        if bool(attrs["listed"]) != expected:
+        if bool(listed) != expected:
             self._violate(
-                "dnsbl-coherence", attrs["key"],
-                f"cache hit for {attrs['ip']} answered "
-                f"listed={attrs['listed']} but the fill of "
-                f"{attrs['key']!r} implies listed={expected}", event)
+                "dnsbl-coherence", key,
+                f"cache hit for {int_to_ip(ip)} answered "
+                f"listed={listed} but the fill of "
+                f"{key!r} implies listed={expected}", event)
 
     def _on_mfs_nwrite(self, event: tuple) -> None:
         # imported lazily: obs must stay importable before repro.mfs is
         from ..mfs.layout import DATA_HEADER_SIZE
 
-        store, attrs = event[3], event[5]
-        key = (store, attrs["mail_id"])
-        self._refs[key] = self._refs.get(key, 0) + attrs["rcpts"]
-        delta = 0 if attrs["dedup"] else DATA_HEADER_SIZE + attrs["bytes"]
+        store = event[3]
+        mail_id, rcpts, nbytes, dedup, _, store_bytes = event[5]
+        key = (store, mail_id)
+        self._refs[key] = self._refs.get(key, 0) + rcpts
+        delta = 0 if dedup else DATA_HEADER_SIZE + nbytes
         if store not in self._store_bytes:
             # first observation anchors the baseline (the store may have
             # been reopened over pre-capture data)
-            self._store_bytes[store] = attrs["store_bytes"] - delta
+            self._store_bytes[store] = store_bytes - delta
         self._store_bytes[store] += delta
-        if attrs["store_bytes"] != self._store_bytes[store]:
+        if store_bytes != self._store_bytes[store]:
             self._violate(
                 "mfs-refcount", ("bytes", store),
-                f"shared store {store} reports {attrs['store_bytes']} "
+                f"shared store {store} reports {store_bytes} "
                 f"byte(s) but the event ledger implies "
                 f"{self._store_bytes[store]}", event)
 
     def _on_mfs_refcount(self, event: tuple) -> None:
-        store, attrs = event[3], event[5]
-        key = (store, attrs["mail_id"])
-        reported = attrs["refcount"]
+        store = event[3]
+        mail_id, _, reported = event[5]
+        key = (store, mail_id)
         self._reported[key] = reported
         if reported < 0:
             self._violate("mfs-refcount", key,
-                          f"shared mail {attrs['mail_id']!r} refcount went "
+                          f"shared mail {mail_id!r} refcount went "
                           f"negative ({reported})", event)
             return
         expected = self._refs.get(key, 0)
         if reported != expected:
             self._violate(
                 "mfs-refcount", key,
-                f"shared mail {attrs['mail_id']!r} (store {store}) reports "
+                f"shared mail {mail_id!r} (store {store}) reports "
                 f"refcount {reported} but the event ledger implies "
                 f"{expected}", event)
 
     def _on_mfs_delete(self, event: tuple) -> None:
-        store, attrs = event[3], event[5]
-        if not attrs["shared"]:
+        _, mail_id, shared = event[5]
+        if not shared:
             return
-        key = (store, attrs["mail_id"])
+        key = (event[3], mail_id)
         self._refs[key] = self._refs.get(key, 0) - 1
         if self._refs[key] < 0:
             self._violate("mfs-refcount", key,
-                          f"shared mail {attrs['mail_id']!r} deleted more "
+                          f"shared mail {mail_id!r} deleted more "
                           "times than it was referenced", event)
-
-    _HANDLERS = {
-        "run.begin": _on_run_begin,
-        "conn.open": _on_conn_open,
-        "conn.close": _on_conn_close,
-        "fork": _on_fork,
-        "delegate": _on_delegate,
-        "data": _on_data,
-        "delivery": _on_delivery,
-        "dnsbl.fill": _on_dnsbl_fill,
-        "dnsbl.lookup": _on_dnsbl_lookup,
-        "mfs.nwrite": _on_mfs_nwrite,
-        "mfs.refcount": _on_mfs_refcount,
-        "mfs.delete": _on_mfs_delete,
-    }
-
-
-def _octet(ip: str) -> int:
-    """Last octet of a dotted quad (the /25 bitmap index)."""
-    return int(ip.rsplit(".", 1)[-1])
 
 
 def check_events(records, context_events: int = CONTEXT_EVENTS
@@ -316,17 +288,18 @@ def check_events(records, context_events: int = CONTEXT_EVENTS
     file and get the violations a live run would have raised.
     """
     engine = InvariantEngine(recorder=None, context_events=context_events)
+    sinks = engine.sinks
     window: list[dict] = []
     for record in records:
         if record.get("type") != "event":
             continue
-        event = (record.get("seq", 0), record.get("t", 0.0),
-                 record.get("run", 0), record.get("conn", 0),
-                 record["kind"], record.get("attrs"))
         window.append(record)
         del window[:-context_events]
+        sink = sinks.get(record["kind"])
+        if sink is None:
+            continue
         before = len(engine.violations)
-        engine.observe(event)
+        sink(event_from_dict(record))
         for violation in engine.violations[before:]:
             violation.context = list(window)
     return engine.finish()

@@ -10,7 +10,9 @@ no per-event work.
 
 Instrumented code emits flight-recorder events only; the tracer derives
 each span ``(t0, t)`` from the closing event (an ``EVENTS`` entry with a
-``span`` phase) that ends it, which carries the phase's start as ``t0``.
+``span`` phase) that ends it, which carries the phase's start as its
+first attr, ``t0``.  Per capture, the tracer subscribes the watchdogs and
+the span sink to the recorder, each on the kinds it reads only.
 
 Enable tracing with the :func:`capture` context manager; the harness does
 this around each experiment for ``repro-experiments --trace``:
@@ -18,7 +20,7 @@ this around each experiment for ``repro-experiments --trace``:
 >>> with capture(context={"exp": "demo"}) as tr:
 ...     run = tr.begin_run(arch="hybrid")
 ...     tr.recorder.emit("envelope.done", 1.5, run, 1,
-...                      {"t0": 0.0, "mode": "event", "outcome": "trusted"})
+...                      (0.0, "event", "trusted"))
 >>> [(r["phase"], r["t0"], r["t1"]) for r in tr.records()
 ...  if r["type"] == "span"]
 [('envelope', 0.0, 1.5)]
@@ -85,17 +87,17 @@ class Tracer:
         self.recorder = None
         self.invariants = None
         if record or watchdogs or keep_spans:
-            from .flightrec import DEFAULT_RING, FlightRecorder
+            from .flightrec import TAIL_EVENTS, FlightRecorder
             self.recorder = FlightRecorder(
-                maxlen=None if record else DEFAULT_RING if watchdogs else 0)
-            sinks = []
+                maxlen=None if record else TAIL_EVENTS if watchdogs else 0)
             if watchdogs:
                 from .invariants import InvariantEngine
                 self.invariants = InvariantEngine(self.recorder)
-                sinks.append(self.invariants.observe)
+                for kind, sink in self.invariants.sinks.items():
+                    self.recorder.subscribe(kind, sink)
             if keep_spans:
-                sinks.append(self._close_span)
-            self.recorder.on_event = _fan_out(sinks)
+                for kind in _SPAN_OF:
+                    self.recorder.subscribe(kind, self._close_span)
         self._kernel_events = declare(self.registry, "kernel.events")
         self._kernel_steps = declare(self.registry, "kernel.steps")
         self._kernel_wall = declare(self.registry, "kernel.wall_seconds")
@@ -109,16 +111,12 @@ class Tracer:
         return self._next_run
 
     def _close_span(self, event: tuple) -> None:
-        """Recorder sink: keep the span each closing event ends."""
-        _, t, run, conn, kind, attrs = event
-        phase = _SPAN_OF.get(kind)
-        if phase is None:
-            return
-        attrs = dict(attrs or ())
-        t0 = attrs.pop("t0", None)
-        if t0 is None:
-            raise ObsError(f"closing event {kind!r} carries no t0 attr")
-        self._spans.append((run, conn, phase, t0, t, attrs))
+        """Recorder sink of the closing kinds: keep the event as a span."""
+        kind = event[4]
+        if len(event[5]) != len(EVENTS[kind].attrs):
+            raise ObsError(f"closing event {kind!r} must carry the attrs "
+                           f"{EVENTS[kind].attrs}")
+        self._spans.append(event)
 
     def emit_metrics(self, run: int, dump: dict) -> None:
         """Attach a metrics-registry dump to ``run``."""
@@ -199,12 +197,16 @@ class Tracer:
         entry is marked non-deterministic (wall-clock readings) are
         excluded so serial and ``--jobs N`` traces are byte-identical.
         """
+        from .flightrec import attrs_as_dict
+
         yield {"type": "meta", "version": TRACE_VERSION, **self.context}
         for run, attrs in self._runs:
             yield {"type": "run", "run": run, "attrs": attrs, **self.context}
-        for run, conn, phase, t0, t1, attrs in self._spans:
+        for _, t1, run, conn, kind, attrs in self._spans:
+            attrs = attrs_as_dict(kind, attrs)
             record = {"type": "span", "run": run, "conn": conn,
-                      "phase": phase, "t0": t0, "t1": t1, **self.context}
+                      "phase": _SPAN_OF[kind], "t0": attrs.pop("t0"),
+                      "t1": t1, **self.context}
             if attrs:
                 record["attrs"] = attrs
             yield record
@@ -217,17 +219,6 @@ class Tracer:
         if any(_nonzero(v) for v in capture_dump.values()):
             yield {"type": "metrics", "run": 0, "metrics": capture_dump,
                    **self.context}
-
-
-def _fan_out(sinks: list):
-    """One recorder sink feeding every sink in ``sinks``, or ``None``."""
-    if len(sinks) < 2:
-        return sinks[0] if sinks else None
-
-    def emit(event: tuple) -> None:
-        for sink in sinks:
-            sink(event)
-    return emit
 
 
 def _nonzero(dump_value) -> bool:
@@ -319,7 +310,7 @@ def capture(context: Optional[dict] = None,
     ``record=True`` keeps the full flight-recorder event stream
     (``tr.record_records()`` / ``--record OUT``); ``watchdogs=True`` runs
     the online invariant engine over the stream, bounding memory with a
-    ring of ``DEFAULT_RING`` events when the full stream is not kept.
+    ring of ``TAIL_EVENTS`` events when the full stream is not kept.
     ``keep_spans=False`` derives no spans — the harness uses it when only
     watchdogs are wanted, so an always-on run does not accumulate an
     unbounded span list; with neither ``record`` nor ``watchdogs`` either,

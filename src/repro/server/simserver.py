@@ -86,9 +86,8 @@ class MailServerSim:
             sim.series_attach(self._run, self.metrics.registry)
         self._rec = tr.recorder if tr.enabled else None
         if self._rec is not None:
-            self._rec.emit("run.begin", sim.now, self._run,
-                           attrs={"arch": config.architecture,
-                                  "storage": config.storage_backend})
+            self._rec.emit("run.begin", sim.now, self._run, 0,
+                           (config.architecture, config.storage_backend))
         self._conn_ids = itertools.count(1)
 
         self.cpu = CPU(sim,
@@ -143,7 +142,7 @@ class MailServerSim:
         t_conn = self.sim.now
         if self._rec is not None:
             self._rec.emit("conn.open", t_conn, self._run, cid,
-                           {"ip": conn.client_ip})
+                           (conn.client_addr,))
         if not self._idle and (len(self._workers) + self._forking
                                < self.config.process_limit):
             # reserve the slot before the fork blocks, so concurrent
@@ -156,7 +155,7 @@ class MailServerSim:
                              Store(self.sim, capacity=1))
             if self._rec is not None:
                 self._rec.emit("fork", self.sim.now, self._run, cid,
-                               {"t0": t_fork, "pid": worker.pid})
+                               (t_fork, worker.pid))
             self._workers.append(worker)
             self._idle.append(worker)
             self.sim.process(self._vanilla_worker_loop(worker),
@@ -212,7 +211,7 @@ class MailServerSim:
         t_conn = self.sim.now
         if self._rec is not None:
             self._rec.emit("conn.open", t_conn, self._run, cid,
-                           {"ip": conn.client_ip})
+                           (conn.client_addr,))
         outcome = yield from self._run_envelope(conn, MASTER_PID,
                                                 event_mode=True,
                                                 cid=cid, t_conn=t_conn)
@@ -230,7 +229,7 @@ class MailServerSim:
             yield worker.inbox.put(task)
         if self._rec is not None:
             self._rec.emit("delegate", self.sim.now, self._run, cid,
-                           {"t0": t_deleg, "queue_depth": len(worker.inbox)})
+                           (t_deleg, len(worker.inbox)))
 
     def _pick_hybrid_worker(self) -> _Worker:
         """Round-robin over the worker pool, growing it up to the limit."""
@@ -323,7 +322,7 @@ class MailServerSim:
             yield from cpu.compute(pid, command_cost)        # MAIL FROM
             if rec is not None:
                 rec.emit("smtp.mail", sim.now, self._run, cid,
-                         {"rcpts": len(mail.recipients)})
+                         (len(mail.recipients),))
             yield from self._rtt()
             for r_index, rcpt in enumerate(mail.recipients):
                 yield from cpu.compute(
@@ -332,7 +331,7 @@ class MailServerSim:
                 self.metrics.rcpts_rejected += not rcpt.valid
                 if rec is not None:
                     rec.emit("smtp.rcpt", sim.now, self._run, cid,
-                             {"valid": rcpt.valid})
+                             (rcpt.valid,))
                 yield from self._rtt()
                 if rcpt.valid:
                     # fork-after-trust boundary: first valid recipient.
@@ -340,8 +339,7 @@ class MailServerSim:
                     # mail's envelope travel with the delegation.
                     if rec is not None:
                         rec.emit("envelope.done", sim.now, self._run, cid,
-                                 {"t0": t0, "mode": mode,
-                                  "outcome": "trusted"})
+                                 (t0, mode, "trusted"))
                     return (_TrustedMail(mail, r_index + 1),
                             conn.mails[index + 1:])
             # every recipient of this mail bounced; next MAIL (if any)
@@ -367,7 +365,7 @@ class MailServerSim:
             self.metrics.rcpts_rejected += not rcpt.valid
             if rec is not None:
                 rec.emit("smtp.rcpt", sim.now, self._run, cid,
-                         {"valid": rcpt.valid})
+                         (rcpt.valid,))
             yield from self._rtt()
         yield from self._receive_data(mail, pid, cid)
 
@@ -375,7 +373,7 @@ class MailServerSim:
             yield from cpu.compute(pid, costs.command_cost)  # MAIL FROM
             if rec is not None:
                 rec.emit("smtp.mail", sim.now, self._run, cid,
-                         {"rcpts": len(mail.recipients)})
+                         (len(mail.recipients),))
             yield from self._rtt()
             any_valid = False
             for rcpt in mail.recipients:
@@ -385,7 +383,7 @@ class MailServerSim:
                 self.metrics.rcpts_rejected += not rcpt.valid
                 if rec is not None:
                     rec.emit("smtp.rcpt", sim.now, self._run, cid,
-                             {"valid": rcpt.valid})
+                             (rcpt.valid,))
                 yield from self._rtt()
                 any_valid = any_valid or rcpt.valid
             if any_valid:
@@ -408,7 +406,7 @@ class MailServerSim:
         self.metrics.mails_accepted += 1
         if self._rec is not None:
             self._rec.emit("data", self.sim.now, self._run, cid,
-                           {"t0": t0, "bytes": mail.size})
+                           (t0, mail.size))
         if self.config.discard_delivery:
             # sinkhole mode: accept, count, and drop (no mailbox writes)
             return
@@ -435,8 +433,7 @@ class MailServerSim:
         self.metrics.observe_lookup(result.latency)
         if self._rec is not None:
             self._rec.emit("dnsbl.check", self.sim.now, self._run, cid,
-                           {"t0": t0, "cache_hit": result.cache_hit,
-                            "listed": result.listed})
+                           (t0, result.cache_hit, result.listed))
         if result.listed and self.reject_blacklisted:
             self.metrics.dnsbl_rejects += 1
             return True
@@ -456,9 +453,9 @@ class MailServerSim:
         if rec is not None:
             if mode is not None:
                 rec.emit("envelope.done", self.sim.now, self._run, cid,
-                         {"t0": t0, "mode": mode, "outcome": outcome})
+                         (t0, mode, outcome))
             rec.emit("conn.close", self.sim.now, self._run, cid,
-                     {"t0": t_conn, "outcome": outcome})
+                     (t_conn, outcome))
 
     # ----------------------------------------------------------- delivery --
     def _delivery_loop(self, pid: int):
@@ -488,7 +485,7 @@ class MailServerSim:
             self.metrics.mailbox_writes += n_rcpts
             if self._rec is not None:
                 self._rec.emit("delivery", self.sim.now, self._run, cid,
-                               {"t0": t0, "rcpts": n_rcpts, "bytes": size})
+                               (t0, n_rcpts, size))
 
 
 class _TrustedMail:

@@ -167,9 +167,6 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-_PENDING = Event._PENDING
-
-
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation."""
 
@@ -194,7 +191,7 @@ class Process(Event):
     nobody is waiting).
     """
 
-    __slots__ = ("generator", "name", "_target", "_had_waiter")
+    __slots__ = ("generator", "name", "_had_waiter")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: Optional[str] = None):
@@ -204,7 +201,6 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         self._had_waiter = False
         # Kick the process off via an immediately-firing timeout (pooled)
         # so it starts *inside* the run loop at the current time.
@@ -227,14 +223,9 @@ class Process(Event):
         The run loop resumes a process parked in an event's waiter slot
         itself; this path serves process starts, joins, events that more
         than one subscriber waits on and events already processed when
-        yielded.
+        yielded.  A process waits on exactly one event at a time and
+        nothing else resumes it, so it is still waiting here.
         """
-        if self._value is not _PENDING:
-            return  # already finished
-        target = self._target
-        if target is not None and trigger is not target:
-            return  # stale wakeup for an event we no longer wait on
-        self._target = None
         if trigger._ok:
             self._step(trigger._value, None)
         else:
@@ -275,7 +266,6 @@ class Process(Event):
         if isinstance(target, Process):
             # processes track waiters (unhandled-failure audit) — go through
             # their add_callback override
-            self._target = target
             target.add_callback(self._resume)
             return
         callbacks = target.callbacks
@@ -283,9 +273,7 @@ class Process(Event):
             self._resume(target)
         elif not callbacks and target._waiter is None:
             target._waiter = self       # run-loop inline resume
-            self._target = target
         else:
-            self._target = target
             callbacks.append(self._resume)
 
     def _finish_ok(self, value: Any) -> None:
@@ -431,7 +419,6 @@ class Simulator:
                     # processes fail, and a joiner subscribes through
                     # callbacks, never the waiter slot.
                     event._waiter = None
-                    waiter._target = None
                     steps += 1
                     try:
                         target = waiter.generator.send(event._value)
@@ -446,7 +433,6 @@ class Simulator:
                             cbs = target.callbacks
                             if cbs is not None and not cbs:
                                 target._waiter = waiter
-                                waiter._target = target
                             else:
                                 waiter._wire(target)
                         else:
@@ -484,8 +470,7 @@ class Simulator:
             if self._rec is not None:
                 # wall time is deliberately absent: recordings must be
                 # byte-identical across runs and --jobs counts
-                self._rec.emit("kernel.run", self.now,
-                               attrs={"events": events, "steps": steps})
+                self._rec.emit("kernel.run", self.now, 0, 0, (events, steps))
         if until is not None:
             if self.now < until:
                 self.now = until

@@ -11,6 +11,8 @@ import pytest
 import repro.harness.figures as figures
 from repro.harness.cli import main as cli_main
 from repro.harness.parallel import ExperimentFailure, run_experiments
+from repro.obs import tracer
+from repro.obs.flightrec import TAIL_EVENTS
 
 
 class _Exploding:
@@ -19,6 +21,16 @@ class _Exploding:
 
     def run(self, scale="quick"):
         raise ValueError("boom from the worker")
+
+
+class _ExplodingAfterEvents(_Exploding):
+    experiment_id = "exploding-late"
+
+    def run(self, scale="quick"):
+        recorder = tracer().recorder
+        for i in range(45):
+            recorder.emit("smtp.rcpt", float(i), 1, 1, (True,))
+        raise ValueError("boom after 45 events")
 
 
 @pytest.fixture
@@ -56,6 +68,17 @@ class TestRunExperiments:
         with pytest.raises(ExperimentFailure) as excinfo:
             run_experiments(["exploding", "exploding2"], "quick", jobs=2)
         assert excinfo.value.exp_id == "exploding"
+
+    def test_crash_ships_the_ring_tail(self, exploding):
+        exploding["exploding-late"] = _ExplodingAfterEvents
+        with pytest.raises(ExperimentFailure) as excinfo:
+            run_experiments(["exploding-late"], "quick", jobs=1,
+                            watchdogs=True)
+        tail = excinfo.value.recorder_tail
+        assert TAIL_EVENTS == 32
+        assert [r["seq"] for r in tail] == list(range(14, 46))
+        assert {r["exp"] for r in tail} == {"exploding-late"}
+        assert tail[-1]["attrs"] == {"valid": True}
 
     def test_crash_during_traced_run_still_propagates(self, exploding):
         with pytest.raises(ExperimentFailure):

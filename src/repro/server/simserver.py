@@ -1,19 +1,21 @@
 """The simulated postfix-style mail server: vanilla and fork-after-trust.
 
-Both architectures share the SMTP session logic and the delivery pipeline;
-they differ *only* in who executes the envelope phase and how connections
-reach smtpd processes — exactly the delta between the paper's Figs. 6 and 7:
+Both architectures run one SMTP dialogue walk, :meth:`MailServerSim._session`
+(banner → HELO → DNSBL → per mail MAIL, RCPTs and DATA → QUIT), and share
+the delivery pipeline; they differ *only* in who runs the walk and where it
+is split — exactly the delta between the paper's Figs. 6 and 7:
 
 * **vanilla** (Fig. 6): the master hands every new connection to an smtpd
   process (forking one when no idle process exists, up to the process
-  limit).  Every protocol step runs in the worker's OS process, so the CPU
-  pays a context switch whenever it moves between sessions.
-* **hybrid** (Fig. 7): the master runs the envelope (banner → HELO → MAIL →
-  RCPT) in its own event loop — all CPU slices carry the *master's* pid, so
-  interleaved envelope work causes no context switches.  Only once a valid
-  recipient is confirmed is the session delegated, over a bounded task
-  queue (the 64 KB UNIX-socket buffer, §5.3: ≈28 tasks), to an smtpd
-  worker that finishes the transaction.  Bounce and unfinished sessions
+  limit), which runs the whole walk.  Every protocol step runs in the
+  worker's OS process, so the CPU pays a context switch whenever it moves
+  between sessions.
+* **hybrid** (Fig. 7): the master runs the walk in its own event loop — all
+  CPU slices carry the *master's* pid, so interleaved envelope work causes
+  no context switches — and stops at the trust point, the first valid
+  recipient.  The session is then delegated, over a bounded task queue (the
+  64 KB UNIX-socket buffer, §5.3: ≈28 tasks), to an smtpd worker that
+  resumes the walk at the next recipient.  Bounce and unfinished sessions
   never leave the master.
 
 The OS-process accounting (pids, context switches, forks) is handled by
@@ -38,7 +40,7 @@ from ..dnsbl.resolver import DnsblResolver
 from ..obs.trace import tracer
 from ..sim.core import Process, Simulator
 from ..sim.resources import CPU, Disk, Store
-from ..traces.record import Connection, MailAttempt
+from ..traces.record import Connection
 from .config import ServerConfig
 from .ioplan import plan_delivery, plan_queue_write
 from .metrics import ServerMetrics
@@ -134,15 +136,20 @@ class MailServerSim:
             self._tr.emit_metrics(self._run, m.dump())
         return m
 
-    # -------------------------------------------------------- vanilla path --
-    def _vanilla_entry(self, conn: Connection):
-        """Master side: find or fork an smtpd, then run the session in it."""
+    def _open(self, conn: Connection) -> tuple[int, float]:
+        """Count a new connection; returns its id and opening instant."""
         self.metrics.connections_started += 1
         cid = next(self._conn_ids)
         t_conn = self.sim.now
         if self._rec is not None:
             self._rec.emit("conn.open", t_conn, self._run, cid,
                            (conn.client_addr,))
+        return cid, t_conn
+
+    # -------------------------------------------------------- vanilla path --
+    def _vanilla_entry(self, conn: Connection):
+        """Master side: find or fork an smtpd, then run the session in it."""
+        cid, t_conn = self._open(conn)
         if not self._idle and (len(self._workers) + self._forking
                                < self.config.process_limit):
             # reserve the slot before the fork blocks, so concurrent
@@ -175,55 +182,47 @@ class MailServerSim:
         while every process was busy), then parks itself in the idle pool
         waiting on its inbox; the master dispatches to idle workers directly.
         """
-        while worker.served < self.config.worker_max_requests:
-            ok, item = self._backlog.try_get()
-            if not ok:
-                if worker not in self._idle:
-                    self._idle.append(worker)
-                item = yield worker.inbox.get()
-            elif worker in self._idle:
-                # serving straight from the backlog: not dispatchable now
-                self._idle.remove(worker)
+        recycled = False
+        while not recycled:
+            recycled = worker.served >= self.config.worker_max_requests
+            if recycled:
+                # the OS process exits; the master forks afresh on demand.
+                # A connection dispatched while we served our last session
+                # must not be dropped: finish it before exiting (postfix
+                # lets max_use slip by the request already in flight).
+                self._workers.remove(worker)
+                if worker in self._idle:
+                    self._idle.remove(worker)
+                ok, item = worker.inbox.try_get()
+                if not ok:
+                    return
+            else:
+                ok, item = self._backlog.try_get()
+                if not ok:
+                    if worker not in self._idle:
+                        self._idle.append(worker)
+                    item = yield worker.inbox.get()
+                elif worker in self._idle:
+                    # serving straight from the backlog: not dispatchable now
+                    self._idle.remove(worker)
             conn, done, cid, t_conn = item
             worker.served += 1
-            yield from self._run_session(conn, worker.pid, worker.pid,
-                                         cid, t_conn)
-            done.succeed(None)
-        # recycled: the OS process exits; the master forks afresh on demand.
-        # A connection dispatched while we served our last session must not
-        # be dropped: finish it before exiting (postfix lets max_use slip by
-        # the request already in flight).
-        self._workers.remove(worker)
-        if worker in self._idle:
-            self._idle.remove(worker)
-        ok, item = worker.inbox.try_get()
-        if ok:
-            conn, done, cid, t_conn = item
-            yield from self._run_session(conn, worker.pid, worker.pid,
-                                         cid, t_conn)
+            yield from self._session(conn, worker.pid, False, cid, t_conn)
             done.succeed(None)
 
     # --------------------------------------------------------- hybrid path --
     def _hybrid_entry(self, conn: Connection):
-        """Master event loop: envelope inline, delegate after trust."""
-        self.metrics.connections_started += 1
-        cid = next(self._conn_ids)
-        t_conn = self.sim.now
-        if self._rec is not None:
-            self._rec.emit("conn.open", t_conn, self._run, cid,
-                           (conn.client_addr,))
-        outcome = yield from self._run_envelope(conn, MASTER_PID,
-                                                event_mode=True,
-                                                cid=cid, t_conn=t_conn)
-        if outcome is None:
+        """Master event loop: walk to the trust point, then delegate."""
+        cid, t_conn = self._open(conn)
+        resume = yield from self._session(conn, MASTER_PID, True, cid, t_conn)
+        if resume is None:
             # bounce / unfinished / rejected: fully handled by the master
             return
-        mail, remaining = outcome
         # delegate to a worker over a bounded task socket (§5.3)
         t_deleg = self.sim.now
         yield from self.cpu.compute(MASTER_PID, self.costs.delegation_cost)
         worker = self._pick_hybrid_worker()
-        task = (conn, mail, remaining, self.sim.now, cid, t_conn)
+        task = (conn, resume, cid, t_conn)
         if not worker.inbox.try_put(task):
             # all sockets full: the finite buffers throttle the master
             yield worker.inbox.put(task)
@@ -255,163 +254,121 @@ class MailServerSim:
 
     def _hybrid_worker_loop(self, worker: _Worker):
         while True:
-            conn, mail, remaining, _t, cid, t_conn = yield worker.inbox.get()
+            conn, resume, cid, t_conn = yield worker.inbox.get()
             worker.served += 1
-            # the delegated connection now occupies this OS process: pay the
-            # per-connection process tax the bounces avoided
-            yield from self.cpu.compute(worker.pid,
-                                        self.costs.process_dispatch_cost)
-            yield from self._run_data_phase(conn, mail, remaining, worker.pid,
-                                            cid, t_conn)
+            yield from self._session(conn, worker.pid, False, cid, t_conn,
+                                     resume)
 
-    # ----------------------------------------------------- session phases --
-    def _run_session(self, conn: Connection, envelope_pid: int,
-                     data_pid: int, cid: int = 0, t_conn: float = 0.0):
-        """The whole SMTP transaction (vanilla: both phases in the worker)."""
-        yield from self.cpu.compute(envelope_pid,
-                                    self.costs.process_dispatch_cost)
-        outcome = yield from self._run_envelope(conn, envelope_pid,
-                                                event_mode=False,
-                                                cid=cid, t_conn=t_conn)
-        if outcome is None:
-            return
-        mail, remaining = outcome
-        yield from self._run_data_phase(conn, mail, remaining, data_pid,
-                                        cid, t_conn)
+    # ------------------------------------------------------------- session --
+    def _session(self, conn: Connection, pid: int, event_mode: bool,
+                 cid: int, t_conn: float,
+                 resume: Optional[tuple[int, int]] = None):
+        """The SMTP dialogue: banner → HELO → (DNSBL) → for each mail MAIL,
+        its RCPTs and, if a recipient was valid, DATA → QUIT.
 
-    def _rtt(self):
-        """One client round-trip on the socket."""
-        yield self.sim.timeout(self.costs.rtt)
-
-    def _run_envelope(self, conn: Connection, pid: int,
-                      event_mode: bool, cid: int = 0, t_conn: float = 0.0):
-        """Banner → HELO → (DNSBL) → MAIL/RCPT until the first valid RCPT.
-
-        ``event_mode`` selects the cheap event-loop cost tier (hybrid
-        master) versus full smtpd process costs (vanilla).  Returns ``None``
-        when the session ends here (bounce, unfinished or blacklist-
-        rejected), else ``(trusted_mail, remaining_mails)``.
+        ``event_mode`` selects the hybrid master's cheap event-loop cost
+        tier and stops the walk at the trust point, the first valid RCPT,
+        returning ``(mail index, next recipient index)``.  Otherwise the
+        walk runs in an smtpd, which pays the per-connection process tax
+        and walks to QUIT, from the banner or from a ``resume`` pair.
+        Returns ``None`` once the session has ended.
         """
-        costs = self.costs
-        cpu, sim = self.cpu, self.sim
+        costs, cpu, sim = self.costs, self.cpu, self.sim
+        metrics, rec = self.metrics, self._rec
+        rtt = costs.rtt
+        if event_mode:
+            mode = "event"
+            accept_cost = costs.event_accept_cost
+            command_cost = costs.event_command_cost
+        else:
+            mode = "process"
+            accept_cost, command_cost = costs.accept_cost, costs.command_cost
+            yield from cpu.compute(pid, costs.process_dispatch_cost)
+        # the phase start: the envelope's, or a delegated data phase's
         t0 = sim.now
-        mode = "event" if event_mode else "process"
-        accept_cost = (costs.event_accept_cost if event_mode
-                       else costs.accept_cost)
-        command_cost = (costs.event_command_cost if event_mode
-                        else costs.command_cost)
-
-        yield from cpu.compute(pid, accept_cost)         # accept + banner
-        yield from self._rtt()                     # banner → HELO
-        yield from cpu.compute(pid, command_cost)        # HELO
-        if self.resolver is not None:
-            rejected = yield from self._dnsbl_check(conn, pid, cid)
-            if rejected:
-                self._finish(t0, cid, t_conn, "rejected", mode)
+        trusted = resume is not None
+        if trusted:
+            first_mail, first_rcpt = resume
+        else:
+            first_mail = first_rcpt = 0
+            yield from cpu.compute(pid, accept_cost)       # accept + banner
+            yield sim.timeout(rtt)                         # banner → HELO
+            yield from cpu.compute(pid, command_cost)      # HELO
+            if self.resolver is not None:
+                rejected = yield from self._dnsbl_check(conn, pid, cid)
+                if rejected:
+                    self._finish(t0, cid, t_conn, "rejected", mode)
+                    return None
+            yield sim.timeout(rtt)
+            if conn.unfinished:
+                yield from cpu.compute(pid, command_cost)  # QUIT
+                metrics.unfinished_connections += 1
+                self._finish(t0, cid, t_conn, "unfinished", mode)
                 return None
-        yield from self._rtt()
 
-        if conn.unfinished:
-            yield from cpu.compute(pid, command_cost)        # QUIT
-            self.metrics.unfinished_connections += 1
-            self._finish(t0, cid, t_conn, "unfinished", mode)
-            return None
-
-        rec = self._rec
-        for index, mail in enumerate(conn.mails):
-            yield from cpu.compute(pid, command_cost)        # MAIL FROM
-            if rec is not None:
-                rec.emit("smtp.mail", sim.now, self._run, cid,
-                         (len(mail.recipients),))
-            yield from self._rtt()
-            for r_index, rcpt in enumerate(mail.recipients):
+        mails = conn.mails
+        for index in range(first_mail, len(mails)):
+            mail = mails[index]
+            recipients = mail.recipients
+            if not first_rcpt:
+                yield from cpu.compute(pid, command_cost)  # MAIL FROM
+                if rec is not None:
+                    rec.emit("smtp.mail", sim.now, self._run, cid,
+                             (len(recipients),))
+                yield sim.timeout(rtt)
+            # a resumed mail already has its trusted recipient
+            any_valid = first_rcpt > 0
+            for r_index in range(first_rcpt, len(recipients)):
+                rcpt = recipients[r_index]
                 yield from cpu.compute(
                     pid, command_cost + costs.rcpt_lookup_cost)
-                self.metrics.rcpts_accepted += rcpt.valid
-                self.metrics.rcpts_rejected += not rcpt.valid
+                metrics.rcpts_accepted += rcpt.valid
+                metrics.rcpts_rejected += not rcpt.valid
                 if rec is not None:
                     rec.emit("smtp.rcpt", sim.now, self._run, cid,
                              (rcpt.valid,))
-                yield from self._rtt()
+                yield sim.timeout(rtt)
                 if rcpt.valid:
-                    # fork-after-trust boundary: first valid recipient.
-                    # The already-validated recipient plus the rest of this
-                    # mail's envelope travel with the delegation.
-                    if rec is not None:
-                        rec.emit("envelope.done", sim.now, self._run, cid,
-                                 (t0, mode, "trusted"))
-                    return (_TrustedMail(mail, r_index + 1),
-                            conn.mails[index + 1:])
-            # every recipient of this mail bounced; next MAIL (if any)
-        yield from cpu.compute(pid, command_cost)        # QUIT
-        self.metrics.bounce_connections += 1
-        self._finish(t0, cid, t_conn, "bounce", mode)
-        return None
-
-    def _run_data_phase(self, conn: Connection, trusted: "_TrustedMail",
-                        remaining: list[MailAttempt], pid: int,
-                        cid: int = 0, t_conn: float = 0.0):
-        """Finish the transaction: rest of the RCPTs, DATA, further mails."""
-        costs = self.costs
-        cpu, sim = self.cpu, self.sim
-        t0 = sim.now
-
-        rec = self._rec
-        mail = trusted.mail
-        for rcpt in mail.recipients[trusted.validated_rcpts:]:
-            yield from cpu.compute(
-                pid, costs.command_cost + costs.rcpt_lookup_cost)
-            self.metrics.rcpts_accepted += rcpt.valid
-            self.metrics.rcpts_rejected += not rcpt.valid
-            if rec is not None:
-                rec.emit("smtp.rcpt", sim.now, self._run, cid,
-                         (rcpt.valid,))
-            yield from self._rtt()
-        yield from self._receive_data(mail, pid, cid)
-
-        for mail in remaining:
-            yield from cpu.compute(pid, costs.command_cost)  # MAIL FROM
-            if rec is not None:
-                rec.emit("smtp.mail", sim.now, self._run, cid,
-                         (len(mail.recipients),))
-            yield from self._rtt()
-            any_valid = False
-            for rcpt in mail.recipients:
-                yield from cpu.compute(
-                    pid, costs.command_cost + costs.rcpt_lookup_cost)
-                self.metrics.rcpts_accepted += rcpt.valid
-                self.metrics.rcpts_rejected += not rcpt.valid
-                if rec is not None:
-                    rec.emit("smtp.rcpt", sim.now, self._run, cid,
-                             (rcpt.valid,))
-                yield from self._rtt()
-                any_valid = any_valid or rcpt.valid
+                    any_valid = True
+                    if not trusted:
+                        # fork-after-trust boundary: first valid recipient
+                        if rec is not None:
+                            rec.emit("envelope.done", sim.now, self._run,
+                                     cid, (t0, mode, "trusted"))
+                        if event_mode:
+                            return index, r_index + 1
+                        trusted = True
+                        t0 = sim.now
+            first_rcpt = 0
             if any_valid:
-                yield from self._receive_data(mail, pid, cid)
-        yield from cpu.compute(pid, costs.command_cost)  # QUIT
-        self._finish(t0, cid, t_conn, "accepted")
-
-    def _receive_data(self, mail: MailAttempt, pid: int, cid: int = 0):
-        """DATA command, body transfer, cleanup and queue write."""
-        costs = self.costs
-        t0 = self.sim.now
-        yield from self.cpu.compute(pid, costs.command_cost)  # DATA
-        yield from self._rtt()                     # 354 → body
-        yield from self.cpu.compute(
-            pid, costs.data_fixed_cost + mail.size * costs.data_per_byte)
-        # postfix incoming queue; §6.3: temporary files stay on a regular FS
-        for op in plan_queue_write(mail.size):
-            yield from self.disk.io(self.config.fs_model.cost(op), op.nbytes)
-        yield from self._rtt()                     # 250 queued
-        self.metrics.mails_accepted += 1
-        if self._rec is not None:
-            self._rec.emit("data", self.sim.now, self._run, cid,
-                           (t0, mail.size))
-        if self.config.discard_delivery:
-            # sinkhole mode: accept, count, and drop (no mailbox writes)
-            return
-        n_valid = len(mail.valid_recipients)
-        self.incoming.put((mail.size, n_valid, cid))
+                # DATA, body transfer, cleanup and queue write
+                t_data = sim.now
+                yield from cpu.compute(pid, command_cost)  # DATA
+                yield sim.timeout(rtt)                     # 354 → body
+                yield from cpu.compute(pid, costs.data_fixed_cost
+                                       + mail.size * costs.data_per_byte)
+                # postfix incoming queue; §6.3: temporary files stay on a
+                # regular FS
+                for op in plan_queue_write(mail.size):
+                    yield from self.disk.io(self.config.fs_model.cost(op),
+                                            op.nbytes)
+                yield sim.timeout(rtt)                     # 250 queued
+                metrics.mails_accepted += 1
+                if rec is not None:
+                    rec.emit("data", sim.now, self._run, cid,
+                             (t_data, mail.size))
+                # sinkhole mode accepts, counts and drops: no mailbox writes
+                if not self.config.discard_delivery:
+                    self.incoming.put((mail.size,
+                                       len(mail.valid_recipients), cid))
+        yield from cpu.compute(pid, command_cost)          # QUIT
+        if trusted:
+            self._finish(t0, cid, t_conn, "accepted")
+        else:
+            # every recipient of every mail bounced
+            metrics.bounce_connections += 1
+            self._finish(t0, cid, t_conn, "bounce", mode)
+        return None
 
     def _dnsbl_check(self, conn: Connection, pid: int, cid: int = 0):
         """Blacklist lookup at connect time; returns True when rejected."""
@@ -487,12 +444,3 @@ class MailServerSim:
                 self._rec.emit("delivery", self.sim.now, self._run, cid,
                                (t0, n_rcpts, size))
 
-
-class _TrustedMail:
-    """A mail whose first ``validated_rcpts`` recipients are already done."""
-
-    __slots__ = ("mail", "validated_rcpts")
-
-    def __init__(self, mail: MailAttempt, validated_rcpts: int):
-        self.mail = mail
-        self.validated_rcpts = validated_rcpts

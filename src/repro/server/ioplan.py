@@ -19,13 +19,14 @@ __all__ = ["plan_delivery", "plan_queue_write", "MBOX_RECORD_OVERHEAD"]
 MBOX_RECORD_OVERHEAD = 33
 
 
-def plan_delivery(backend: str, payload_len: int, n_rcpts: int,
-                  shared_dedup_hit: bool = False) -> list[IoOp]:
+def plan_delivery(backend: str, payload_len: int,
+                  n_rcpts: int) -> list[IoOp]:
     """Disk operations to deliver one ``payload_len``-byte mail to
     ``n_rcpts`` mailboxes on ``backend``.
 
-    ``shared_dedup_hit`` models the MFS §6.2 fast path where the mail id is
-    already present in the shared mailbox (e.g. a retried delivery).
+    Every simulated delivery carries a fresh mail id, so the MFS plan is
+    the shared-mailbox write, never §6.2's dedup skip (which
+    ``MfsStore.nwrite`` implements for a mail id already stored).
     """
     if n_rcpts < 1:
         raise ConfigError("deliveries need at least one recipient")
@@ -51,13 +52,11 @@ def plan_delivery(backend: str, payload_len: int, n_rcpts: int,
                      "mailbox_data"),
                 IoOp(IoKind.APPEND, KEY_RECORD_SIZE, "mailbox_key"),
             ]
-        ops: list[IoOp] = []
-        if shared_dedup_hit:
-            ops.append(IoOp(IoKind.UPDATE, KEY_RECORD_SIZE, "shmailbox_key"))
-        else:
-            ops.append(IoOp(IoKind.APPEND, DATA_HEADER_SIZE + payload_len,
-                            "shmailbox_data"))
-            ops.append(IoOp(IoKind.APPEND, KEY_RECORD_SIZE, "shmailbox_key"))
+        ops = [
+            IoOp(IoKind.APPEND, DATA_HEADER_SIZE + payload_len,
+                 "shmailbox_data"),
+            IoOp(IoKind.APPEND, KEY_RECORD_SIZE, "shmailbox_key"),
+        ]
         ops += [IoOp(IoKind.APPEND, KEY_RECORD_SIZE, "mailbox_key")] * n_rcpts
         return ops
 

@@ -14,6 +14,8 @@ from repro.mfs import (DataFile, KeyFile, KeyEntry, MailFile, MfsStore,
                        mail_read, mail_seek, pack_data_header, pack_key,
                        repair, unpack_data_header, unpack_key)
 from repro.mfs.shared import SharedMailbox
+from repro.obs import capture
+from repro.storage.diskmodel import IoKind
 
 
 class TestLayout:
@@ -242,6 +244,21 @@ class TestMailFileAndStore:
         msg = make_message(["a@d.com", "a@d.com"])
         with pytest.raises(Exception):
             store.deliver(msg)
+
+    def test_nwrite_dedup_hit_moves_only_the_refcount(self, tmp_path):
+        # §6.2's skip: a mail id already in the shared mailbox is not
+        # written again; only its refcount and the new mailboxes' keys move
+        payload = b"P" * 4000
+        with capture() as tr, MfsStore(tmp_path) as store:
+            store.nwrite(["a@d.com", "b@d.com"], "DUP1", payload)
+            data_size = store.shared.data.size()
+            ops = store.nwrite(["c@d.com", "d@d.com"], "DUP1", payload)
+            updates = [op for op in ops if op.kind is IoKind.UPDATE]
+            assert [op.target for op in updates] == ["shmailbox_key"]
+            assert not any(op.nbytes >= len(payload) for op in ops)
+            assert store.shared.data.size() == data_size
+            assert store.shared.refcount("DUP1") == 4
+        assert tr.registry.counter("mfs.dedup.hits").value == 1
 
 
 class TestCApi:

@@ -120,13 +120,6 @@ class TestPlanEquivalence:
         for real_size, plan_size in zip(real_big, plan_big):
             assert abs(real_size - plan_size) <= 64
 
-    def test_mfs_dedup_hit_plan(self):
-        ops = plan_delivery("mfs", 1000, 3, shared_dedup_hit=True)
-        kinds = [op.kind for op in ops]
-        assert IoKind.UPDATE in kinds
-        assert not any(op.nbytes > 900 for op in ops), \
-            "dedup hit must not rewrite the payload"
-
     def test_queue_write_plan(self):
         ops = plan_queue_write(5000)
         assert ops[0].kind is IoKind.APPEND and ops[0].nbytes == 5000

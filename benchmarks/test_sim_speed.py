@@ -9,6 +9,7 @@ number every figure experiment is ultimately bounded by; watch it in BENCH
 output to track the perf trajectory across PRs.
 """
 
+import statistics
 import time
 
 from repro.obs import capture, tracer
@@ -17,6 +18,8 @@ from repro.sim.resources import CPU
 
 N_CLIENTS = 400
 STEPS = 60
+#: interleaved plain/watched pairs behind the watchdog overhead gate
+WATCHDOG_PAIRS = 9
 
 
 def _fig8_workload():
@@ -142,7 +145,9 @@ def test_watchdog_overhead_under_5_percent():
     actually emits flight-recorder events — connections, SMTP phases,
     forks, deliveries) against the same run with the ring recorder and
     the invariant engine attached.  ``--watchdogs`` is the CLI default,
-    so this bound is what every ``repro-experiments`` run pays.
+    so this bound is what every ``repro-experiments`` run pays.  The gate
+    is the median of interleaved pairs, not the first attempt to get under
+    the bound, so one slow plain run cannot pass it.
     """
     from repro.clients import run_closed
     from repro.server import MailServerSim, ServerConfig
@@ -164,14 +169,25 @@ def test_watchdog_overhead_under_5_percent():
         tr = run(watchdogs=True)
         assert tr.invariants.finish() == []
 
+    def timed(fn):
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
     plain()
     watched()  # warm up
-    for attempt in range(4):
-        off = _best_of(plain, 3)
-        on = _best_of(watched, 3)
-        print(f"watchdog run {on:.4f}s / plain run {off:.4f}s "
-              f"= {on / off:.3f}")
-        if on <= off * 1.05:
-            return
-    assert on <= off * 1.05, (
-        f"watchdog run {on:.4f}s vs plain traced run {off:.4f}s")
+    # interleaved pairs, alternating which run goes first, so a drift in
+    # machine speed lands on both sides; the gate is the median ratio
+    ratios = []
+    for pair in range(WATCHDOG_PAIRS):
+        if pair % 2:
+            on, off = timed(watched), timed(plain)
+        else:
+            off, on = timed(plain), timed(watched)
+        ratios.append(on / off)
+        print(f"pair {pair}: watchdog run {on:.4f}s / plain run "
+              f"{off:.4f}s = {on / off:.3f}")
+    median = statistics.median(ratios)
+    assert median <= 1.05, (
+        f"median watchdog/plain ratio {median:.3f} over "
+        f"{WATCHDOG_PAIRS} pairs: {[round(r, 3) for r in ratios]}")

@@ -1,8 +1,9 @@
 """Micro-benchmarks of the core primitives.
 
 Not paper figures — these track the performance of the building blocks so
-regressions in the substrate (SMTP parsing, MFS writes, DNSBL lookups, the
-DES engine) are visible independently of the experiment results.
+regressions in the substrate (SMTP parsing, MFS writes, DNSBL lookups) are
+visible independently of the experiment results.  The DES engine's
+benchmarks are in ``test_sim_speed.py``.
 """
 
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from repro.dnsbl import (DnsblResolver, DnsblServer, DnsblZone,
                          PrefixStrategy)
 from repro.mfs import MfsStore
-from repro.sim import Simulator
 from repro.sim.random import RngStream
 from repro.smtp import (MailIdGenerator, OutgoingMail, ServerSession,
                         ClientSession)
@@ -58,25 +58,6 @@ def test_dnsbl_cached_lookup_rate(benchmark):
 
     result = benchmark(resolver.lookup, "10.0.1.9", 1.0)
     assert result.cache_hit
-
-
-def test_des_engine_event_rate(benchmark):
-    """Raw engine throughput: schedule-and-run 10k timeout events."""
-
-    def run_events():
-        sim = Simulator()
-
-        def ticker():
-            for _ in range(100):
-                yield sim.timeout(1.0)
-
-        for _ in range(100):
-            sim.process(ticker())
-        sim.run()
-        return sim.now
-
-    now = benchmark(run_events)
-    assert now == 100.0
 
 
 def test_client_fsm_roundtrip(benchmark):

@@ -5,8 +5,9 @@ closed-loop clients contending on a shared CPU — and its shape (one CPU
 slice then an idle timeout per step) exercises every kernel fast path at
 once: the timeout pool, the waiter-slot inline resume, and the CPU's
 hand-over from one slice to the next.  The reported events/sec is the
-number every figure experiment is ultimately bounded by; watch it in BENCH
-output to track the perf trajectory across PRs.
+number every figure experiment is ultimately bounded by; it and steps/sec
+are in each benchmark's pytest-benchmark ``extra_info``, so a saved run
+(``--benchmark-autosave``) tracks the perf trajectory across changes.
 """
 
 import statistics
@@ -68,6 +69,7 @@ def test_pure_timeout_event_rate(benchmark):
     sim = benchmark(run)
     stats = sim.kernel_stats()
     assert stats.events >= 100_000
+    assert sim.now == 500.0
     benchmark.extra_info["events_per_sec"] = round(stats.events_per_sec)
 
 

@@ -30,8 +30,7 @@ False
 [{'mode': 'event', 'outcome': 'trusted'}]
 """
 
-from .contract import (BENCH_FIELDS, EVENTS, INVARIANTS, METRICS,
-                       SERIES_FIELDS, declare)
+from .contract import EVENTS, INVARIANTS, METRICS, SERIES_FIELDS, declare
 from .critical_path import (CriticalPathAnalysis, analyze_critical_path,
                             critical_path_report)
 from .diff import Divergence, diff_records, diff_report
@@ -47,8 +46,7 @@ from .trace import (NULL_TRACER, NullTracer, Tracer, active_registry,
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "ObsError",
-    "METRICS", "EVENTS", "INVARIANTS", "SERIES_FIELDS",
-    "BENCH_FIELDS", "declare",
+    "METRICS", "EVENTS", "INVARIANTS", "SERIES_FIELDS", "declare",
     "Tracer", "NullTracer", "NULL_TRACER", "tracer", "active_registry",
     "capture",
     "write_trace", "read_trace", "TraceFormatError",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .metrics import MetricsRegistry, ObsError
 
 __all__ = ["MetricSpec", "EventSpec", "InvariantSpec", "METRICS", "EVENTS",
-           "INVARIANTS", "SERIES_FIELDS", "BENCH_FIELDS", "declare"]
+           "INVARIANTS", "SERIES_FIELDS", "declare"]
 
 
 @dataclass(frozen=True)
@@ -284,29 +284,6 @@ SERIES_FIELDS: dict[str, str] = {
     "metrics": "per-metric deltas for the window: counters as numeric "
                "deltas, gauges as {value, peak} snapshots, histograms as "
                "{count, sum, buckets} deltas; unchanged metrics omitted",
-}
-
-#: Field vocabulary for ``repro-bench`` artifacts (``BENCH_<runstamp>.json``).
-#: :func:`repro.harness.bench.run_bench` refuses to write an artifact whose
-#: keys differ from this set, and ``docs/OBSERVABILITY.md`` mirrors it.
-BENCH_FIELDS: dict[str, str] = {
-    "schema": "artifact schema identifier, currently 'repro-bench/3'",
-    "runstamp": "UTC wall-clock stamp YYYYMMDDTHHMMSSZ, also in the filename",
-    "python": "interpreter version the benchmark ran under",
-    "platform": "OS/machine string from platform.platform()",
-    "scale": "'quick' or 'full' size of the kernel microbench and "
-             "tracing-overhead runs; the figure subset always runs at "
-             "scale='quick'",
-    "kernel_events_per_sec": "DES-kernel events/sec, best of N runs of the "
-                             "Figure-8-shaped microbench",
-    "kernel_steps_per_sec": "DES-kernel generator resumes/sec on the same "
-                            "microbench run",
-    "figures": "per-experiment wall-clock seconds for the fixed figure "
-               "subset, as {experiment id: seconds}",
-    "tracing_overhead_pct": "percent wall-time cost of running the "
-                            "microbench under capture(series) vs untraced",
-    "peak_rss_kb": "peak resident set size of the benchmark process in KiB",
-    "total_wall_seconds": "wall-clock seconds for the whole bench run",
 }
 
 

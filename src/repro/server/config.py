@@ -108,7 +108,8 @@ class ServerConfig:
     architecture: str = "vanilla"
     #: smtpd process limit (paper: vanilla peaks at 500; hybrid run with 700)
     process_limit: int = 500
-    #: connections an smtpd serves before exiting (postfix max_use)
+    #: connections a vanilla smtpd serves before exiting (postfix max_use);
+    #: hybrid's delegated smtpd pool is persistent and never recycles
     worker_max_requests: int = 100
     #: tasks one master→smtpd socket buffer holds (§5.3 estimates 28)
     task_queue_depth: int = 28

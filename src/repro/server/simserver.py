@@ -255,7 +255,6 @@ class MailServerSim:
     def _hybrid_worker_loop(self, worker: _Worker):
         while True:
             conn, resume, cid, t_conn = yield worker.inbox.get()
-            worker.served += 1
             yield from self._session(conn, worker.pid, False, cid, t_conn,
                                      resume)
 

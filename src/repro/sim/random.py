@@ -9,7 +9,6 @@ components can be re-ordered without perturbing each other's draws.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from typing import Sequence
 
@@ -33,42 +32,6 @@ class RngStream(random.Random):
         if mean <= 0:
             raise ValueError(f"mean must be positive, got {mean!r}")
         return self.expovariate(1.0 / mean)
-
-    def lognormal_mean(self, mean: float, sigma: float) -> float:
-        """Draw from a lognormal with the given *linear-space* mean.
-
-        ``sigma`` is the shape parameter of the underlying normal; ``mu`` is
-        solved so that ``E[X] = mean``.
-        """
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean!r}")
-        mu = math.log(mean) - 0.5 * sigma * sigma
-        return self.lognormvariate(mu, sigma)
-
-    def zipf_index(self, n: int, alpha: float = 1.0) -> int:
-        """Draw an index in ``[0, n)`` with Zipf(alpha) popularity."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        # Inverse-CDF on the harmonic weights; O(log n) via bisect would need
-        # a precomputed table, so for repeated use see ``zipf_table``.
-        weights = getattr(self, "_zipf_cache", None)
-        if weights is None or weights[0] != (n, alpha):
-            cum, total = [], 0.0
-            for k in range(1, n + 1):
-                total += 1.0 / (k ** alpha)
-                cum.append(total)
-            weights = ((n, alpha), cum, total)
-            self._zipf_cache = weights
-        _, cum, total = weights
-        u = self.random() * total
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
 
     def choice_weighted(self, items: Sequence, weights: Sequence[float]):
         """Pick one item with the given relative weights."""

@@ -171,11 +171,3 @@ class TimeSeries:
         if not self.values:
             raise ValueError("empty time series")
         return sum(self.values) / len(self.values)
-
-    def window_mean(self, t0: float, t1: float) -> float:
-        """Mean of samples with ``t0 <= t < t1``."""
-        chosen = [v for t, v in self if t0 <= t < t1]
-        if not chosen:
-            raise ValueError(f"no samples in [{t0}, {t1})")
-        return sum(chosen) / len(chosen)
-

@@ -74,9 +74,6 @@ class FsCostModel:
             return self.update_fixed + op.nbytes * self.per_byte
         raise StorageError(f"unknown I/O kind {op.kind!r}")
 
-    def total_cost(self, ops: list[IoOp]) -> float:
-        return sum(self.cost(op) for op in ops)
-
 
 #: Ext3 (journalled): appends pay a journal commit; small-file creation is
 #: expensive (ref. [16]: Ext3 "performs poorly" for many small files).

@@ -16,10 +16,10 @@ from repro.clients.closed import run_closed_timed
 from repro.core import make_dnsbl_bank
 from repro.harness.cli import main as cli_main
 from repro.harness.parallel import run_experiments
-from repro.obs import (BENCH_FIELDS, EVENTS, INVARIANTS, METRICS,
-                       NULL_TRACER, Counter, MetricsRegistry, ObsError,
-                       SERIES_FIELDS, capture, read_trace, reconcile,
-                       trace_report, tracer, write_trace)
+from repro.obs import (EVENTS, INVARIANTS, METRICS, NULL_TRACER, Counter,
+                       MetricsRegistry, ObsError, SERIES_FIELDS, capture,
+                       read_trace, reconcile, trace_report, tracer,
+                       write_trace)
 from repro.server import MailServerSim, ServerConfig
 from repro.sim import Simulator
 from repro.traces import bounce_sweep_trace
@@ -497,10 +497,6 @@ class TestContractDocSync:
     def test_every_series_field_documented(self):
         assert (self._documented("Time-series record format")
                 == set(SERIES_FIELDS))
-
-    def test_every_bench_field_documented(self):
-        assert (self._documented("Benchmark artifact format")
-                == set(BENCH_FIELDS))
 
     def test_every_event_documented(self):
         assert self._documented("Event catalogue") == set(EVENTS)

@@ -293,9 +293,19 @@ class TestSliceOrder:
         """The Fig. 8 microbench costs exactly two events per step: the
         slice's completion and the idle timeout, plus each client's start
         and finish."""
-        from repro.harness.bench import _fig8_shaped
         n_clients, steps = 400, 60
-        stats = _fig8_shaped(n_clients, steps).kernel_stats()
+        sim = Simulator()
+        cpu = CPU(sim)
+
+        def client(pid):
+            for _ in range(steps):
+                yield from cpu.compute(pid, 1e-4)
+                yield sim.timeout(1e-3)
+
+        for pid in range(n_clients):
+            sim.process(client(pid))
+        sim.run()
+        stats = sim.kernel_stats()
         assert stats.events == n_clients * (2 * steps + 2) == 48_800
         assert stats.steps == n_clients * (2 * steps + 1)
 

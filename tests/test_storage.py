@@ -143,7 +143,6 @@ class TestCostModels:
         assert model.cost(IoOp(IoKind.LINK)) == 5.0
         assert model.cost(IoOp(IoKind.UNLINK)) == 2.0
         assert model.cost(IoOp(IoKind.UPDATE, 100)) == pytest.approx(1.5)
-        assert model.total_cost([IoOp(IoKind.LINK)] * 3) == 15.0
 
     def test_negative_size_rejected(self):
         with pytest.raises(StorageError):

@@ -7,10 +7,9 @@ heading anchor that no heading in the target file produces.  External
 (``http``/``https``/``mailto``) links are not fetched — this repo builds
 offline — only their syntax is accepted.
 
-Fenced shell examples are checked too: any ``repro-experiments`` or
-``repro-bench`` invocation whose first positional argument is not a known
-subcommand or experiment id is flagged, so the docs cannot drift from
-``harness/cli.py`` / ``harness/bench.py``.
+Fenced shell examples are checked too: any ``repro-experiments``
+invocation whose first positional argument is not a known subcommand or
+experiment id is flagged, so the docs cannot drift from ``harness/cli.py``.
 
 Run from anywhere:  ``python tools/check_docs.py``
 Exit status: 0 clean, 1 broken links or stale commands (each printed as
@@ -36,14 +35,14 @@ _SHELL_LANGS = {"", "bash", "sh", "shell", "console", "text"}
 _ENV_ASSIGN = re.compile(r"^\w+=\S*$")
 
 
-def _cli_vocabulary() -> dict[str, tuple[set[str], set[str]]]:
-    """Per-command ``(valid first positionals, value-taking flags)``.
+def _cli_vocabulary() -> tuple[set[str], set[str]]:
+    """``repro-experiments``' ``(valid first positionals, value-taking flags)``.
 
     Derived from the real parsers and registries so the vocabulary can
     never lag behind the code.
     """
     sys.path.insert(0, str(REPO / "src"))
-    from repro.harness import bench, cli
+    from repro.harness import cli
     from repro.harness.figures import EXPERIMENTS
 
     def value_flags(parser) -> set[str]:
@@ -53,23 +52,16 @@ def _cli_vocabulary() -> dict[str, tuple[set[str], set[str]]]:
                 flags.update(action.option_strings)
         return flags
 
-    return {
-        "repro-experiments": (set(cli.SUBCOMMANDS) | set(EXPERIMENTS),
-                              value_flags(cli.build_parser())),
-        "repro-bench": (set(bench.SUBCOMMANDS),
-                        value_flags(bench.build_parser())),
-    }
+    return (set(cli.SUBCOMMANDS) | set(EXPERIMENTS),
+            value_flags(cli.build_parser()))
 
 
-def _find_command(tokens: list[str]) -> tuple[str, int] | None:
-    """Locate a checked CLI in ``tokens``: ``(command name, arg start)``."""
+def _find_command(tokens: list[str]) -> int | None:
+    """Where ``repro-experiments``' arguments start in ``tokens``, if at all."""
     for i, tok in enumerate(tokens):
-        if tok in ("repro-experiments", "repro-bench"):
-            return tok, i + 1
-        if tok.endswith(("repro.harness.cli", "harness/cli.py")):
-            return "repro-experiments", i + 1
-        if tok.endswith(("repro.harness.bench", "tools/bench.py")):
-            return "repro-bench", i + 1
+        if tok == "repro-experiments" or tok.endswith(
+                ("repro.harness.cli", "harness/cli.py")):
+            return i + 1
     return None
 
 
@@ -106,7 +98,7 @@ def _bad_positional(tokens: list[str], vocab: set[str],
 def check_commands() -> list[str]:
     """Flag fenced shell examples that name unknown subcommands."""
     errors: list[str] = []
-    vocabulary = _cli_vocabulary()
+    vocab, flags = _cli_vocabulary()
     for md in _markdown_files():
         in_fence = False
         shell_fence = False
@@ -123,16 +115,14 @@ def check_commands() -> list[str]:
                 tokens = tokens[1:]
             while tokens and _ENV_ASSIGN.match(tokens[0]):
                 tokens = tokens[1:]
-            found = _find_command(tokens)
-            if found is None:
+            start = _find_command(tokens)
+            if start is None:
                 continue
-            command, start = found
-            vocab, flags = vocabulary[command]
             bad = _bad_positional(tokens[start:], vocab, flags)
             if bad is not None:
                 errors.append(
-                    f"{md.relative_to(REPO)}:{lineno}: {command} has no "
-                    f"subcommand or experiment {bad!r}")
+                    f"{md.relative_to(REPO)}:{lineno}: repro-experiments "
+                    f"has no subcommand or experiment {bad!r}")
     return errors
 
 

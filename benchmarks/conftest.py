@@ -1,9 +1,10 @@
 """Benchmark-suite configuration.
 
 Each ``test_figNN.py`` module regenerates one table/figure of the paper via
-the experiment harness, timed by pytest-benchmark (one round — these are
-end-to-end experiment replays, not micro-benchmarks), and asserts that the
-paper's anchor claims hold.
+the experiment harness, timed by pytest-benchmark, and asserts that the
+paper's anchor claims hold.  Each figure is timed over three rounds, and
+every round starts from an empty trace memo (:mod:`repro.traces.memo`), so
+it includes its own trace generation whichever benchmark ran before it.
 
 Run:  pytest benchmarks/ --benchmark-only
 """
@@ -15,10 +16,12 @@ def run_experiment(benchmark, exp_id, scale="quick"):
     """Execute one harness experiment under the benchmark timer and verify
     its paper-vs-measured anchors."""
     from repro.harness import EXPERIMENTS
+    from repro.traces import clear_trace_memo
 
     experiment = EXPERIMENTS[exp_id]()
     result = benchmark.pedantic(experiment.run, args=(scale,),
-                                rounds=1, iterations=1)
+                                setup=clear_trace_memo, rounds=3,
+                                iterations=1)
     failed = [a for a in result.anchors if not a.holds]
     assert not failed, (
         f"{exp_id}: paper anchors failed: "

@@ -9,7 +9,8 @@ ignored; the *content* of each connection comes from the trace in order.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import itertools
+from typing import Iterable, Iterator, Optional
 
 from ..server.metrics import ServerMetrics
 from ..server.simserver import MailServerSim
@@ -20,10 +21,14 @@ __all__ = ["ClosedLoopClient", "run_closed"]
 
 
 class ClosedLoopClient:
-    """Drives a server with ``concurrency`` always-open connections."""
+    """Drives a server with ``concurrency`` always-open connections.
 
-    def __init__(self, sim: Simulator, server: MailServerSim, trace: Trace,
-                 concurrency: int = 300):
+    ``trace`` is any iterable of connections — a :class:`Trace`, or an
+    endless ``itertools.cycle`` of one for a timed run.
+    """
+
+    def __init__(self, sim: Simulator, server: MailServerSim,
+                 trace: Iterable[Connection], concurrency: int = 300):
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         self.sim = sim
@@ -63,8 +68,8 @@ class ClosedLoopClient:
             self._all_done.succeed(None)
 
 
-def run_closed(trace: Trace, server_factory, concurrency: int = 300,
-               warmup_fraction: float = 0.0) -> ServerMetrics:
+def run_closed(trace: Trace, server_factory,
+               concurrency: int = 300) -> ServerMetrics:
     """Convenience runner: play a whole trace through a closed-loop client.
 
     ``server_factory(sim)`` builds the server.  The run ends when every
@@ -89,24 +94,13 @@ def run_closed_timed(trace: Trace, server_factory, concurrency: int = 300,
     end-of-run drain do not distort throughput the way a play-the-whole-
     trace run does when acceptance and delivery have different bottlenecks.
     """
-    import itertools as _it
-
     if warmup >= duration:
         raise ValueError("warmup must be shorter than duration")
     sim = Simulator()
     server = server_factory(sim)
-
-    def endless():
-        for conn in _it.cycle(trace.connections):
-            yield conn
-
-    endless_trace = Trace.__new__(Trace)
-    endless_trace.connections = trace.connections
-    endless_trace.name = trace.name
-    endless_trace.duration = trace.duration
-    client = ClosedLoopClient(sim, server, endless_trace,
+    client = ClosedLoopClient(sim, server,
+                              itertools.cycle(trace.connections),
                               concurrency=concurrency)
-    client._iterator = endless()
     client.start()
     sim.run(until=warmup)
     accepted0 = server.metrics.mails_accepted

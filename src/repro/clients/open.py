@@ -30,8 +30,7 @@ class OpenLoopClient:
 
     def __init__(self, sim: Simulator, server: MailServerSim, trace: Trace,
                  rate: float, duration: float,
-                 rng: Optional[RngStream] = None,
-                 preserve_trace_times: bool = False):
+                 rng: Optional[RngStream] = None):
         if rate <= 0:
             raise ValueError("arrival rate must be positive")
         if duration <= 0:
@@ -44,7 +43,6 @@ class OpenLoopClient:
         self.rate = rate
         self.duration = duration
         self.rng = rng or RngStream(99)
-        self.preserve_trace_times = preserve_trace_times
         self.offered = 0
 
     def start(self) -> None:

@@ -1,15 +1,19 @@
-"""On-disk cache of experiment results.
+"""On-disk cache of experiment shard payloads.
 
-A result is a pure function of ``(experiment_id, scale, source tree, seed)``
-— every experiment seeds its RNG streams deterministically — so re-running
-``repro-experiments`` after an unrelated edit, or twice in a row, can skip
-the simulation entirely.  The source tree is folded in as a SHA-256 over
+An experiment is a plan of shards (:meth:`Experiment.shard_plan`; one
+``WHOLE`` shard for an experiment that overrides ``run``), and a shard's
+payload is a pure function of ``(experiment_id, scale, shard, source
+tree)`` — every experiment seeds its RNG streams deterministically — so
+re-running ``repro-experiments`` after an unrelated edit, or twice in a
+row, can skip the simulation entirely.  The cache holds one entry per
+shard: a run at any ``--jobs`` executes the same shards, so it warms and
+reuses the same entries.  The source tree is folded in as a SHA-256 over
 every ``src/repro/**/*.py`` file: any code change invalidates the whole
 cache, which is deliberately coarse — correctness over hit rate.
 
 Entries are JSON files under ``~/.cache/repro-experiments`` (override with
-``REPRO_CACHE_DIR``).  Cached results are byte-identical to fresh ones: the
-CLI appends its wall-clock note *after* the cache round-trip.
+``REPRO_CACHE_DIR``).  Results reduced from cached payloads are identical
+to fresh ones: the CLI appends its wall-clock note *after* the reduction.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import json
 import os
 from pathlib import Path
 from typing import Optional
-
-from .experiment import Anchor, ExperimentResult
 
 __all__ = ["ResultCache", "source_hash", "default_cache_dir"]
 
@@ -48,7 +50,7 @@ def source_hash(src_root: Optional[Path] = None) -> str:
 
 
 class ResultCache:
-    """Load/store :class:`ExperimentResult` keyed by run identity."""
+    """Load/store shard payloads keyed by run identity."""
 
     def __init__(self, cache_dir: Optional[Path] = None,
                  src_hash: Optional[str] = None):
@@ -57,81 +59,31 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
 
-    def _path(self, experiment_id: str, scale: str, seed: int) -> Path:
-        return self.cache_dir / (
-            f"{experiment_id}-{scale}-{self.src_hash}-{seed}.json")
-
-    def get(self, experiment_id: str, scale: str,
-            seed: int = 0) -> Optional[ExperimentResult]:
-        path = self._path(experiment_id, scale, seed)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if payload.get("version") != _ENTRY_VERSION:
-            self.misses += 1
-            return None
-        self.hits += 1
-        data = payload["result"]
-        return ExperimentResult(
-            experiment_id=data["experiment_id"], title=data["title"],
-            columns=data["columns"], rows=data["rows"],
-            anchors=[Anchor(**a) for a in data["anchors"]],
-            notes=data["notes"], scale=data["scale"])
-
-    def put(self, result: ExperimentResult, seed: int = 0) -> None:
-        payload = {
-            "version": _ENTRY_VERSION,
-            "result": {
-                "experiment_id": result.experiment_id,
-                "title": result.title,
-                "columns": result.columns,
-                "rows": result.rows,
-                "anchors": [vars(a) for a in result.anchors],
-                "notes": result.notes,
-                "scale": result.scale,
-            },
-        }
-        path = self._path(result.experiment_id, result.scale, seed)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        os.replace(tmp, path)
-
-    # -- shard entries -----------------------------------------------------
-    # Shardable experiments cache per shard instead of per result, so a
-    # run at any ``--jobs`` (every job count executes the same shards)
-    # warms and reuses the same entries.
-
-    def _shard_path(self, experiment_id: str, scale: str, shard: str,
-                    seed: int) -> Path:
+    def _path(self, experiment_id: str, scale: str, shard: str) -> Path:
         safe = shard.replace("/", "_")
         return self.cache_dir / (
-            f"{experiment_id}-{scale}-{self.src_hash}-{seed}"
-            f"-shard-{safe}.json")
+            f"{experiment_id}-{scale}-{self.src_hash}-shard-{safe}.json")
 
-    def get_shard(self, experiment_id: str, scale: str, shard: str,
-                  seed: int = 0) -> Optional[dict]:
+    def get(self, experiment_id: str, scale: str,
+            shard: str) -> Optional[dict]:
         """The cached payload of one shard, or ``None``."""
-        path = self._shard_path(experiment_id, scale, shard, seed)
+        path = self._path(experiment_id, scale, shard)
         try:
-            payload = json.loads(path.read_text())
+            entry = json.loads(path.read_text())
         except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if (payload.get("version") != _ENTRY_VERSION
-                or payload.get("shard") != shard):
+            entry = {}
+        if (entry.get("version") != _ENTRY_VERSION
+                or entry.get("shard") != shard):
             self.misses += 1
             return None
         self.hits += 1
-        return payload["payload"]
+        return entry["payload"]
 
-    def put_shard(self, experiment_id: str, scale: str, shard: str,
-                  payload: dict, seed: int = 0) -> None:
+    def put(self, experiment_id: str, scale: str, shard: str,
+            payload: dict) -> None:
         entry = {"version": _ENTRY_VERSION, "shard": shard,
                  "payload": payload}
-        path = self._shard_path(experiment_id, scale, shard, seed)
+        path = self._path(experiment_id, scale, shard)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(entry, indent=1, sort_keys=True))

@@ -4,15 +4,24 @@ Every experiment produces an :class:`ExperimentResult` holding the series
 or table it regenerates plus *anchors* — the quantitative claims the paper
 makes about that figure — with the measured counterpart next to each, so
 ``EXPERIMENTS.md`` can show paper-vs-measured at a glance.
+
+Every experiment is a *shard plan*: a list of independent slices of its
+sweep, each run to a JSON-sized payload and reduced in plan order into the
+result.  An experiment that overrides :meth:`Experiment.run` instead is a
+one-shard plan, ``[WHOLE]``, whose payload is its result's JSON mapping
+(:meth:`ExperimentResult.as_payload`), so the harness runs, caches and
+merges every experiment the same way.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
-__all__ = ["Anchor", "ExperimentResult", "Experiment", "Scale"]
+__all__ = ["Anchor", "ExperimentResult", "Experiment", "Scale", "WHOLE"]
+
+#: the one shard of an experiment that overrides ``run``
+WHOLE = "all"
 
 
 class Scale:
@@ -71,8 +80,17 @@ class ExperimentResult:
         self.anchors.append(Anchor(description, paper_value, measured_value,
                                    holds))
 
+    def as_payload(self) -> dict:
+        """The result as a JSON-serialisable mapping."""
+        return asdict(self)
 
-class Experiment(abc.ABC):
+    @classmethod
+    def from_payload(cls, data: dict) -> ExperimentResult:
+        return cls(**{**data,
+                      "anchors": [Anchor(**a) for a in data["anchors"]]})
+
+
+class Experiment:
     """Base class: subclasses implement :meth:`run` — or, for experiments
     whose sweep decomposes into independent pieces, the shard API below,
     which gives them intra-experiment parallelism under ``--jobs N`` for
@@ -91,36 +109,30 @@ class Experiment(abc.ABC):
     # (parameter, variant) cell), named by a deterministic string.  The
     # harness fans shards out across the worker pool and caches them
     # individually; ``run`` composes the same pieces serially, so direct
-    # callers and ``--jobs 1`` share one code path with ``--jobs N``.
+    # callers and ``--jobs 1`` share one code path with ``--jobs N``.  The
+    # defaults make an experiment that overrides ``run`` one shard.
 
-    def shard_plan(self, scale: str = Scale.QUICK) -> Optional[list[str]]:
-        """Shard ids in reduction order, or ``None`` for monolithic runs."""
-        return None
+    def shard_plan(self, scale: str = Scale.QUICK) -> list[str]:
+        """Shard ids in reduction order."""
+        return [WHOLE]
 
     def run_shard(self, scale: str, shard: str) -> dict:
         """Run one shard; returns a JSON-serialisable payload."""
-        raise NotImplementedError(
-            f"{type(self).__name__} declares shards but no run_shard()")
+        if type(self).run is Experiment.run:
+            raise NotImplementedError(
+                f"{type(self).__name__} implements neither run() nor the "
+                f"shard API")
+        return self.run(scale).as_payload()
 
     def reduce_shards(self, scale: str,
                       payloads: Sequence[dict]) -> ExperimentResult:
         """Combine shard payloads (in ``shard_plan`` order) into a result."""
-        raise NotImplementedError(
-            f"{type(self).__name__} declares shards but no reduce_shards()")
+        return ExperimentResult.from_payload(payloads[0])
 
     def run(self, scale: str = Scale.QUICK) -> ExperimentResult:
-        """Execute the experiment and return its result.
-
-        The default implementation composes the shard API; monolithic
-        experiments override ``run`` directly.
-        """
-        shards = self.shard_plan(scale)
-        if shards is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither run() nor the "
-                f"shard API")
-        return self.reduce_shards(
-            scale, [self.run_shard(scale, shard) for shard in shards])
+        """Execute the experiment serially and return its result."""
+        return self.reduce_shards(scale, [self.run_shard(scale, shard)
+                                          for shard in self.shard_plan(scale)])
 
     def result(self, columns: Sequence[str],
                scale: str) -> ExperimentResult:

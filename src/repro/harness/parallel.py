@@ -1,29 +1,27 @@
 """Parallel experiment execution for ``repro-experiments --jobs N``.
 
-The figure experiments are independent and deterministic, so they fan out
-over a ``multiprocessing`` pool with no coordination beyond collecting the
-results.  Output order always matches the requested order regardless of
-which worker finishes first, so ``--jobs 4`` output is byte-identical to
-``--jobs 1``.
-
-Experiments that implement the shard API (:meth:`Experiment.shard_plan`)
-fan out *within* the experiment too: every (parameter, variant) cell of
-their sweep becomes one pool task, so a single big figure saturates the
-pool instead of serialising behind one worker.  The shard list and its
-order depend only on ``(experiment, scale)`` — never on ``--jobs`` — and
-the parent reduces payloads in plan order, so results, traces, series and
-recordings are byte-identical at any job count.  Shards are also cached
-individually (:meth:`ResultCache.get_shard`), which keeps ``--jobs 1`` and
-``--jobs N`` cache-compatible: each warms exactly the entries the other
-reads.
+Every experiment is a shard plan (:meth:`Experiment.shard_plan`): one
+pool task per (parameter, variant) cell of its sweep, or the single
+``WHOLE`` shard of an experiment that overrides ``run``.  Shards of all
+requested experiments fan out over one ``multiprocessing`` pool with no
+coordination beyond collecting their payloads, so a single big figure
+saturates the pool instead of serialising behind one worker.  The shard
+list and its order depend only on ``(experiment, scale)`` — never on
+``--jobs`` — and the parent reduces payloads in plan order
+(:meth:`Experiment.reduce_shards`) and returns outcomes in request order,
+so results, traces, series and recordings are byte-identical at any job
+count.  Shards are cached individually (:meth:`ResultCache.get`), which
+keeps ``--jobs 1`` and ``--jobs N`` cache-compatible: each warms exactly
+the entries the other reads, and a cached result and a fresh one come
+from the same reduction.
 
 Each worker process regenerates its own traces via the process-local memo
 (:mod:`repro.traces.memo`); nothing heavier than the experiment id and
 JSON-sized payloads crosses the process boundary.
 
-With ``traced=True`` each experiment — or each shard — runs inside its own
+With ``traced=True`` each shard runs inside its own
 :func:`repro.obs.capture`: the same code path serially and in the pool, so
-the merged trace (tasks concatenated in request/plan order) is
+the merged trace (shards concatenated in request/plan order) is
 byte-identical at any ``--jobs``.  Shard captures get ``run_base = shard
 index × 1000`` so run/sim ids stay globally unique within the experiment
 after the merge.  The same holds for ``series_interval``: sampling is
@@ -97,14 +95,14 @@ class _Failure:
 
 
 def _run_one(task: tuple, on_sample=None) -> tuple:
-    """Pool worker: run one experiment or one shard (top-level, picklable).
+    """Pool worker: run one shard of one experiment (top-level, picklable).
 
     ``task`` is ``(exp_id, shard, shard_index, scale, traced,
-    series_interval, record, watchdogs)`` with ``shard=None`` for a
-    monolithic experiment.  Returns ``(exp_id, shard, payload-or-result-
-    or-_Failure, elapsed, records, series, events, violations)``.
-    ``on_sample`` only exists on the serial path — callbacks do not cross
-    the process boundary.
+    series_interval, record, watchdogs)``.  Returns ``(exp_id, shard,
+    payload-or-_Failure, elapsed, captured)`` with ``captured`` the
+    shard's ``(records, series, events, violations)``.  ``on_sample``
+    only exists on the serial path — callbacks do not cross the process
+    boundary.
     """
     from .figures import EXPERIMENTS
 
@@ -116,14 +114,8 @@ def _run_one(task: tuple, on_sample=None) -> tuple:
     events: list = []
     violations: list = []
     tr = None
-
-    def execute():
-        exp = EXPERIMENTS[exp_id]()
-        if shard is None:
-            return exp.run(scale=scale)
-        return exp.run_shard(scale, shard)
-
     try:
+        exp = EXPERIMENTS[exp_id]()
         if traced or series_interval is not None or record or watchdogs:
             # spans are only kept when the caller asked for a trace; a
             # watchdog/record-only capture stays bounded on long runs
@@ -133,7 +125,7 @@ def _run_one(task: tuple, on_sample=None) -> tuple:
                          record=record, watchdogs=watchdogs,
                          keep_spans=traced,
                          run_base=shard_index * SHARD_RUN_STRIDE) as tr:
-                payload = execute()
+                payload = exp.run_shard(scale, shard)
             if traced:
                 records = list(tr.records())
             if series_interval is not None:
@@ -143,7 +135,7 @@ def _run_one(task: tuple, on_sample=None) -> tuple:
             if tr.invariants is not None:
                 violations = tr.invariants.finish()
         else:
-            payload = execute()
+            payload = exp.run_shard(scale, shard)
     except Exception as exc:
         tail: list = []
         if tr is not None and tr.recorder is not None:
@@ -151,25 +143,19 @@ def _run_one(task: tuple, on_sample=None) -> tuple:
             tail = tr.recorder.tail(TAIL_EVENTS, context={"exp": exp_id})
         failure = _Failure(exp_id, f"{type(exc).__name__}: {exc}",
                            _traceback.format_exc(), recorder_tail=tail)
-        return exp_id, shard, failure, time.perf_counter() - start, \
-            [], [], [], []
-    return (exp_id, shard, payload, time.perf_counter() - start, records,
-            series, events, violations)
+        return exp_id, shard, failure, time.perf_counter() - start, None
+    return (exp_id, shard, payload, time.perf_counter() - start,
+            (records, series, events, violations))
 
 
 @dataclass
 class _Assembly:
     """Parent-side bookkeeping for one requested experiment."""
 
-    shards: Optional[list]               # shard_plan(scale); None=monolithic
+    shards: list                                   # shard_plan(scale)
     payloads: dict = field(default_factory=dict)   # shard -> payload
-    fresh: set = field(default_factory=set)        # shards actually run
+    captured: dict = field(default_factory=dict)   # fresh shard -> lists
     elapsed: float = 0.0
-    records: dict = field(default_factory=dict)    # shard -> records
-    series: dict = field(default_factory=dict)
-    events: dict = field(default_factory=dict)
-    violations: dict = field(default_factory=dict)
-    result: Optional[ExperimentResult] = None      # monolithic/cached result
 
 
 def run_experiments(exp_ids: Sequence[str], scale: str, jobs: int = 1,
@@ -181,15 +167,14 @@ def run_experiments(exp_ids: Sequence[str], scale: str, jobs: int = 1,
                     watchdogs: bool = False) -> list[RunOutcome]:
     """Run ``exp_ids`` at ``scale`` with up to ``jobs`` worker processes.
 
-    Cached results are returned without running anything; fresh results are
-    written back to ``cache`` — per shard for shardable experiments, per
-    result otherwise.  The returned list matches ``exp_ids`` order.
-    ``traced=True`` captures a trace per experiment (per shard for
-    shardable ones), ``series_interval`` additionally samples every
-    registry at that simulated-time interval, ``record=True`` captures the
-    full flight-recorder event stream, and ``watchdogs=True`` runs the
-    online invariant engine over a bounded ring (bypass the cache for
-    trace/series/record — cached results carry no records).
+    Cached shards are reused without running anything; fresh shard
+    payloads are written back to ``cache``.  The returned list matches
+    ``exp_ids`` order.  ``traced=True`` captures a trace per shard,
+    ``series_interval`` additionally samples every registry at that
+    simulated-time interval, ``record=True`` captures the full
+    flight-recorder event stream, and ``watchdogs=True`` runs the online
+    invariant engine over a bounded ring (bypass the cache for
+    trace/series/record — cached shards carry no records).
 
     Raises :class:`ExperimentFailure` for the first crashing experiment (in
     request order), with the worker's traceback — and, when a recorder was
@@ -202,20 +187,10 @@ def run_experiments(exp_ids: Sequence[str], scale: str, jobs: int = 1,
     for exp_id in exp_ids:
         if exp_id in assemblies:
             continue
-        exp = EXPERIMENTS[exp_id]()
-        # duck-typed: anything without the shard API runs monolithically
-        plan = exp.shard_plan(scale) if hasattr(exp, "shard_plan") else None
+        plan = EXPERIMENTS[exp_id]().shard_plan(scale)
         asm = assemblies[exp_id] = _Assembly(shards=plan)
-        if plan is None:
-            hit = cache.get(exp_id, scale) if cache is not None else None
-            if hit is not None:
-                asm.result = hit
-            else:
-                tasks.append((exp_id, None, 0, scale, traced,
-                              series_interval, record, watchdogs))
-            continue
         for index, shard in enumerate(plan):
-            hit = (cache.get_shard(exp_id, scale, shard)
+            hit = (cache.get(exp_id, scale, shard)
                    if cache is not None else None)
             if hit is not None:
                 asm.payloads[shard] = hit
@@ -240,52 +215,25 @@ def run_experiments(exp_ids: Sequence[str], scale: str, jobs: int = 1,
             raise ExperimentFailure(failure.exp_id, failure.message,
                                     failure.traceback,
                                     recorder_tail=failure.recorder_tail)
-        for (exp_id, shard, payload, elapsed, records, series,
-             events, violations) in finished:
+        for exp_id, shard, payload, elapsed, captured in finished:
             asm = assemblies[exp_id]
             asm.elapsed += elapsed
-            if shard is None:
-                asm.result = payload
-                asm.fresh.add(None)
-                asm.records[None] = records
-                asm.series[None] = series
-                asm.events[None] = events
-                asm.violations[None] = violations
-                if cache is not None:
-                    cache.put(payload)
-            else:
-                asm.payloads[shard] = payload
-                asm.fresh.add(shard)
-                asm.records[shard] = records
-                asm.series[shard] = series
-                asm.events[shard] = events
-                asm.violations[shard] = violations
-                if cache is not None:
-                    cache.put_shard(exp_id, scale, shard, payload)
+            asm.payloads[shard] = payload
+            asm.captured[shard] = captured
+            if cache is not None:
+                cache.put(exp_id, scale, shard, payload)
 
     outcomes: dict[str, RunOutcome] = {}
     for exp_id, asm in assemblies.items():
-        if asm.shards is None:
-            outcomes[exp_id] = RunOutcome(
-                result=asm.result, elapsed=asm.elapsed,
-                cached=not asm.fresh,
-                records=asm.records.get(None, []),
-                series=asm.series.get(None, []),
-                events=asm.events.get(None, []),
-                violations=asm.violations.get(None, []))
-            continue
         result = EXPERIMENTS[exp_id]().reduce_shards(
             scale, [asm.payloads[shard] for shard in asm.shards])
-        merged: dict[str, list] = {"records": [], "series": [],
-                                   "events": [], "violations": []}
+        records, series, events, violations = merged = [], [], [], []
         for shard in asm.shards:           # plan order == merge order
-            merged["records"].extend(asm.records.get(shard, []))
-            merged["series"].extend(asm.series.get(shard, []))
-            merged["events"].extend(asm.events.get(shard, []))
-            merged["violations"].extend(asm.violations.get(shard, []))
+            for into, part in zip(merged, asm.captured.get(shard, ())):
+                into.extend(part)
         outcomes[exp_id] = RunOutcome(
-            result=result, elapsed=asm.elapsed, cached=not asm.fresh,
-            records=merged["records"], series=merged["series"],
-            events=merged["events"], violations=merged["violations"])
+            result=result, elapsed=asm.elapsed, cached=not asm.captured,
+            records=records, series=series, events=events,
+            violations=violations)
 
     return [outcomes[exp_id] for exp_id in exp_ids]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.core as sim_core
-from repro.harness import EXPERIMENTS, ResultCache, run_experiments
+from repro.harness import EXPERIMENTS, WHOLE, ResultCache, run_experiments
 from repro.sim import SimulationError, Simulator
 from repro.sim.resources import CPU, Disk, Resource, Store
 
@@ -86,15 +86,15 @@ def test_cache_source_hash_invalidates(tmp_path):
     cache_a = ResultCache(cache_dir=tmp_path, src_hash="aaaa")
     run_experiments(["fig3"], "quick", jobs=1, cache=cache_a)
     cache_b = ResultCache(cache_dir=tmp_path, src_hash="bbbb")
-    assert cache_b.get("fig3", "quick") is None
-    assert cache_a.get("fig3", "quick") is not None
+    assert cache_b.get("fig3", "quick", WHOLE) is None
+    assert cache_a.get("fig3", "quick", WHOLE) is not None
 
 
 def test_cache_clear(tmp_path):
     cache = ResultCache(cache_dir=tmp_path, src_hash="pinned")
     run_experiments(["fig3"], "quick", jobs=1, cache=cache)
     assert cache.clear() == 1
-    assert cache.get("fig3", "quick") is None
+    assert cache.get("fig3", "quick", WHOLE) is None
 
 
 # -- timeouts held outside the run loop vs the pool ------------------------

@@ -10,12 +10,13 @@ import pytest
 
 import repro.harness.figures as figures
 from repro.harness.cli import main as cli_main
+from repro.harness.experiment import Experiment
 from repro.harness.parallel import ExperimentFailure, run_experiments
 from repro.obs import tracer
 from repro.obs.flightrec import TAIL_EVENTS
 
 
-class _Exploding:
+class _Exploding(Experiment):
     experiment_id = "exploding"
     title = "always raises (test fixture)"
 

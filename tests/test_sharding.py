@@ -12,7 +12,7 @@ import pytest
 
 import repro.harness.figures as figures
 from repro.harness.cache import ResultCache
-from repro.harness.experiment import Experiment
+from repro.harness.experiment import WHOLE, Experiment
 from repro.harness.parallel import SHARD_RUN_STRIDE, run_experiments
 
 
@@ -99,7 +99,7 @@ def test_partial_cache_runs_only_missing_shards(sharded, tmp_path):
     cache = ResultCache(tmp_path, src_hash="test")
     run_experiments(["sharded-test"], "quick", jobs=1, cache=cache)
     # invalidate one shard: the next run recomputes exactly that one
-    path = cache._shard_path("sharded-test", "quick", "1:a", 0)
+    path = cache._path("sharded-test", "quick", "1:a")
     path.unlink()
     outcome = run_experiments(["sharded-test"], "quick", jobs=2,
                               cache=cache)[0]
@@ -110,11 +110,11 @@ def test_partial_cache_runs_only_missing_shards(sharded, tmp_path):
 def test_shard_cache_round_trip_and_validation(tmp_path):
     cache = ResultCache(tmp_path, src_hash="test")
     payload = {"shard": "0:a", "ticks": [0.5, 1.0]}
-    cache.put_shard("exp", "quick", "0:a", payload)
-    assert cache.get_shard("exp", "quick", "0:a") == payload
+    cache.put("exp", "quick", "0:a", payload)
+    assert cache.get("exp", "quick", "0:a") == payload
     # entries echo their shard id; a mismatched read must miss
-    assert cache.get_shard("exp", "quick", "0:b") is None
-    assert cache.get_shard("exp", "full", "0:a") is None
+    assert cache.get("exp", "quick", "0:b") is None
+    assert cache.get("exp", "full", "0:a") is None
 
 
 def test_fig8_and_storage_figures_declare_shards():
@@ -123,4 +123,23 @@ def test_fig8_and_storage_figures_declare_shards():
     assert plan and all(":" in shard for shard in plan)
     assert plan == fig8.shard_plan("quick")   # deterministic
     fig10 = figures.EXPERIMENTS["fig10"]()
-    assert fig10.shard_plan("quick")
+    assert len(fig10.shard_plan("quick")) > 1
+    # every experiment is a plan: non-empty, unique ids, and one WHOLE
+    # shard for an experiment that overrides run()
+    for cls in figures.EXPERIMENTS.values():
+        for scale in ("quick", "full"):
+            plan = cls().shard_plan(scale)
+            assert plan and len(set(plan)) == len(plan), cls.experiment_id
+            if cls.run_shard is Experiment.run_shard:
+                assert plan == [WHOLE], cls.experiment_id
+
+
+def test_experiment_without_run_or_shards_raises():
+    class _Empty(Experiment):
+        experiment_id = "empty"
+
+    with pytest.raises(NotImplementedError,
+                       match="implements neither run\\(\\) nor the shard API"):
+        _Empty().run("quick")
+    with pytest.raises(NotImplementedError):
+        _Empty().run_shard("quick", WHOLE)

@@ -145,7 +145,7 @@ _OP = st.one_of(
     st.tuples(st.just("put"), st.integers(0, 9)),
     st.tuples(st.just("get"), st.just(0)),
     st.tuples(st.just("cpu"), st.sampled_from((0.25, 0.5)),
-              st.sampled_from((0, 1))),
+              st.sampled_from((-1, 0, 1))),
     st.tuples(st.just("disk"), st.sampled_from((0.0, 0.75))),
     st.tuples(st.just("join"), st.integers(0, 5)),
     st.tuples(st.just("shared"), st.integers(0, 1)),
@@ -158,7 +158,7 @@ def _process_mix(sim, programs):
 
     Covers every way a process waits: timeouts (fresh and shared between
     processes), manually triggered events, a bounded store, CPU slices at
-    two priorities, disk operations, and joins on other processes, whose
+    three priorities, disk operations, and joins on other processes, whose
     failures the joiner catches.  Returns the resume log; an unhandled
     failure ends the log with the run's error message.
     """

@@ -32,10 +32,10 @@ _BASE_ADDR = 0x0A000001
 
 #: (record count, SHA-256 of the JSON lines) of ``record_records()``
 RECORDING = (3877,
-             "569bfdc41ab79021c84936a69cf4a62bb778ecb79a42df20302a6cf82635676b")
+             "557b6f236cd7304ceaa463b0a57428c81c995b26136b2a51042a12fdba68a331")
 #: the same for the span trace, ``records()``
 TRACE = (1362,
-         "8f2e2367fc92c02ffb043cd74597ab2dd4c189cf69fe226bb101b1fbe975aa1a")
+         "9b78f4047260277d1fd53ef9546bd885d60a239e5aba01b3ce1bb46d921db127")
 
 
 def _digest(records) -> tuple[int, str]:

@@ -21,10 +21,10 @@ from repro.traces import bounce_sweep_trace
 
 #: (record count, SHA-256 of the JSON lines) of ``record_records()``
 RECORDING = (2651,
-             "1f97d4641c97a4bd00760ded26127f755438690a951649a3f4755abcd37498d6")
+             "02590b0abbc26e08d571a85675a144ef127eec6d463e4e3c1ee25e9e9194bc69")
 #: the same for the span trace, ``records()``
 TRACE = (962,
-         "094750710dfa5c147e0d236e769a21dea0052bcc7c7c984ba8e9e4d9055e3d15")
+         "d90b90ff5dbfb1ff354edf72cafc1ad9ad7bed19fbedf2e80f6cb9e0e3f920d3")
 
 
 def _digest(records) -> tuple[int, str]:

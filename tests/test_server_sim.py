@@ -26,12 +26,12 @@ class TestConfig:
             ServerConfig(process_limit=0)
         with pytest.raises(ConfigError):
             ServerConfig(storage_backend="zfs")
-        with pytest.raises(ConfigError):
-            ServerConfig(delivery_concurrency=0)
 
     def test_factory_presets(self):
         assert ServerConfig.vanilla().process_limit == 500
         assert ServerConfig.hybrid().process_limit == 700
+        assert ServerConfig.vanilla(process_limit=50).process_limit == 50
+        assert ServerConfig.hybrid(process_limit=50).process_limit == 50
         storage = ServerConfig.storage_experiment("mfs", None.__class__)  # type: ignore
 
     def test_cost_model_replace(self):

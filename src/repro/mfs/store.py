@@ -104,6 +104,28 @@ class MfsStore(MailboxStore):
         self.close()
 
     # -- MailboxStore API -------------------------------------------------------
+    @classmethod
+    def plan(cls, payload_len: int, n_rcpts: int) -> list[IoOp]:
+        if n_rcpts == 1:
+            return [
+                IoOp(IoKind.APPEND, DATA_HEADER_SIZE + payload_len,
+                     "mailbox_data"),
+                IoOp(IoKind.APPEND, KEY_RECORD_SIZE, "mailbox_key"),
+            ]
+        return cls._nwrite_plan(payload_len, n_rcpts)
+
+    @staticmethod
+    def _nwrite_plan(payload_len: int, n_mailboxes: int) -> list[IoOp]:
+        """A fresh mail's ``mail_nwrite``: one shared copy, one key each."""
+        ops = [
+            IoOp(IoKind.APPEND, DATA_HEADER_SIZE + payload_len,
+                 "shmailbox_data"),
+            IoOp(IoKind.APPEND, KEY_RECORD_SIZE, "shmailbox_key"),
+        ]
+        ops += [IoOp(IoKind.APPEND, KEY_RECORD_SIZE,
+                     "mailbox_key")] * n_mailboxes
+        return ops
+
     def deliver(self, message: MailMessage) -> list[IoOp]:
         payload = message.serialized()
         mailboxes = [r.mailbox for r in message.recipients]
@@ -121,11 +143,7 @@ class MfsStore(MailboxStore):
             handle.write(message.mail_id, payload)
             if self._rec is not None:
                 self._emit("mfs.write", (mailboxes[0], len(payload)))
-            return [
-                IoOp(IoKind.APPEND, DATA_HEADER_SIZE + len(payload),
-                     target="mailbox_data"),
-                IoOp(IoKind.APPEND, KEY_RECORD_SIZE, target="mailbox_key"),
-            ]
+            return self.plan(len(payload), 1)
         return self.nwrite(mailboxes, message.mail_id, payload)
 
     def nwrite(self, mailboxes: list[str], mail_id: str,
@@ -136,20 +154,10 @@ class MfsStore(MailboxStore):
         """
         if not mailboxes:
             raise StorageError("nwrite needs at least one mailbox")
-        ops: list[IoOp] = []
         was_present = mail_id in self.shared
         self.shared.add(mail_id, payload, refcount=len(mailboxes))
         if was_present and self._c_single is not None:
             self._c_dedup.inc()
-        if was_present:
-            # dedup hit: only the refcount moved (§6.2's skip)
-            ops.append(IoOp(IoKind.UPDATE, KEY_RECORD_SIZE,
-                            target="shmailbox_key"))
-        else:
-            ops.append(IoOp(IoKind.APPEND, DATA_HEADER_SIZE + len(payload),
-                            target="shmailbox_data"))
-            ops.append(IoOp(IoKind.APPEND, KEY_RECORD_SIZE,
-                            target="shmailbox_key"))
         offset = self.shared.keys.get(mail_id).offset
         for mailbox in mailboxes:
             handle = self.open_mailbox(mailbox)
@@ -157,8 +165,6 @@ class MfsStore(MailboxStore):
                 raise MfsError(
                     f"mail {mail_id!r} already delivered to {mailbox!r}")
             handle.add_shared_ref(mail_id, offset)
-            ops.append(IoOp(IoKind.APPEND, KEY_RECORD_SIZE,
-                            target="mailbox_key"))
         if self._rec is not None:
             # authoritative post-state travels with the event so the
             # refcount watchdog can reconcile without touching the store
@@ -167,6 +173,11 @@ class MfsStore(MailboxStore):
                        (mail_id, len(mailboxes), len(payload), was_present,
                         refcount, self.shared.data.size()))
             self._emit("mfs.refcount", (mail_id, len(mailboxes), refcount))
+        ops = self._nwrite_plan(len(payload), len(mailboxes))
+        if was_present:
+            # dedup hit (§6.2's skip): the shared copy's two appends are
+            # one refcount update
+            ops[:2] = [IoOp(IoKind.UPDATE, KEY_RECORD_SIZE, "shmailbox_key")]
         return ops
 
     def list_mailbox(self, mailbox: str) -> list[str]:

@@ -1,9 +1,7 @@
 """Simulated postfix-style mail server: vanilla and fork-after-trust."""
 
 from .config import CostModel, ServerConfig
-from .ioplan import plan_delivery, plan_queue_write
 from .metrics import ServerMetrics
 from .simserver import MailServerSim
 
-__all__ = ["CostModel", "ServerConfig", "plan_delivery", "plan_queue_write",
-           "ServerMetrics", "MailServerSim"]
+__all__ = ["CostModel", "ServerConfig", "ServerMetrics", "MailServerSim"]

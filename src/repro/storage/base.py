@@ -9,8 +9,10 @@ The paper compares four ways postfix can write mails to mailboxes:
 
 Every backend implements :class:`MailboxStore` for *functional* use (real
 files on a real filesystem) and additionally reports the
-:class:`~repro.storage.diskmodel.IoOp` sequence a delivery performs, which
-the simulator prices with a filesystem cost model to reproduce Figs. 10/11.
+:class:`~repro.storage.diskmodel.IoOp` sequence a delivery performs.  Its
+:meth:`~MailboxStore.plan` is that sequence for the steady state, without
+touching a file; the simulator prices it with a filesystem cost model to
+reproduce Figs. 10/11.
 """
 
 from __future__ import annotations
@@ -46,6 +48,16 @@ class MailboxStore(abc.ABC):
 
     #: short identifier used in experiment tables ("mbox", "maildir", ...)
     name: str = "abstract"
+
+    @classmethod
+    @abc.abstractmethod
+    def plan(cls, payload_len: int, n_rcpts: int) -> list[IoOp]:
+        """The disk operations of delivering one ``payload_len``-byte mail
+        to ``n_rcpts`` mailboxes, without touching any file.
+
+        Pure and steady-state: the mail id is fresh and every mailbox
+        already exists.  This is what the simulator charges per delivery.
+        """
 
     @abc.abstractmethod
     def deliver(self, message: MailMessage) -> list[IoOp]:

@@ -47,6 +47,10 @@ class MaildirStore(MailboxStore):
         self._seq += 1
         return f"{self._seq:010d}.{mail_id}.mail"
 
+    @classmethod
+    def plan(cls, payload_len: int, n_rcpts: int) -> list[IoOp]:
+        return [IoOp(IoKind.CREATE, payload_len, "mailbox")] * n_rcpts
+
     def deliver(self, message: MailMessage) -> list[IoOp]:
         payload = message.serialized()
         ops: list[IoOp] = []
@@ -87,6 +91,12 @@ class HardlinkStore(MaildirStore):
         super().__init__(root)
         self._content = self.root / ".content"
         self._content.mkdir(parents=True, exist_ok=True)
+
+    @classmethod
+    def plan(cls, payload_len: int, n_rcpts: int) -> list[IoOp]:
+        ops = [IoOp(IoKind.CREATE, payload_len, ".content")]
+        ops += [IoOp(IoKind.LINK, 0, "mailbox")] * n_rcpts
+        return ops
 
     def deliver(self, message: MailMessage) -> list[IoOp]:
         payload = message.serialized()

@@ -33,6 +33,11 @@ class MboxStore(MailboxStore):
         safe = mailbox.replace("@", "_at_").replace("/", "_")
         return self.root / safe
 
+    @classmethod
+    def plan(cls, payload_len: int, n_rcpts: int) -> list[IoOp]:
+        record = payload_len + cls.RECORD_OVERHEAD
+        return [IoOp(IoKind.APPEND, record, "mailbox")] * n_rcpts
+
     def deliver(self, message: MailMessage) -> list[IoOp]:
         payload = message.serialized()
         record = self._record(message.mail_id, payload)
@@ -47,6 +52,12 @@ class MboxStore(MailboxStore):
             kind = IoKind.APPEND if existed else IoKind.CREATE
             ops.append(IoOp(kind, len(record), target=recipient.mailbox))
         return ops
+
+    #: bytes a record adds to its payload: the separator line
+    #: ``From MAILER <id> <len>\n`` and the trailing newline.  A
+    #: steady-state estimate for :meth:`plan`; the exact figure depends on
+    #: the lengths of the mail id and of the payload length's digits
+    RECORD_OVERHEAD = 33
 
     @staticmethod
     def _record(mail_id: str, payload: bytes) -> bytes:
